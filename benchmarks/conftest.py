@@ -12,9 +12,8 @@ Environment knobs:
   raising it gives higher-fidelity numbers and a different cache
   universe (scale is part of the cache key).
 * ``REPRO_BENCH_KERNEL`` — simulation kernel: ``skip`` (default),
-  ``naive``, or the ``vectorized``/``specialized`` backends; results
-  are bit-identical, only wall time changes (and the kernel is *not*
-  part of the cache key).
+  ``naive`` or ``specialized``; results are bit-identical, only wall
+  time changes (and the kernel is *not* part of the cache key).
 * ``REPRO_CACHE_DIR`` — where results persist (default
   ``~/.cache/repro-abella04``). Delete the directory for a cold run.
 
@@ -31,7 +30,8 @@ import time
 
 import pytest
 
-from repro.core import engine
+from repro import obs
+from repro.core.engine import KernelTelemetry
 from repro.experiments import ExperimentRunner, ResultStore, RunScale, default_cache_dir
 
 _DEFAULT_INSTRUCTIONS = 4000
@@ -75,7 +75,7 @@ def _cache_telemetry(request, runner):
         else None
     )
     before = runner.cache_stats()
-    kernel_before = engine.GLOBAL_TELEMETRY.as_dict()
+    kernel_before = obs.kernel_totals()
     started = time.perf_counter()
     yield
     elapsed = time.perf_counter() - started
@@ -85,7 +85,7 @@ def _cache_telemetry(request, runner):
     }
     kernel_delta = {
         f"kernel_{name}": after - kernel_before[name]
-        for name, after in engine.GLOBAL_TELEMETRY.as_dict().items()
+        for name, after in obs.kernel_totals().items()
     }
     if benchmark is not None:
         benchmark.extra_info["wall_time_s"] = round(elapsed, 3)
@@ -104,7 +104,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         f"repro cache: {stats['simulations']} simulated, "
         f"{stats['disk_hits']} disk hits, {stats['memory_hits']} memory hits"
     )
-    telemetry = engine.GLOBAL_TELEMETRY
+    telemetry = KernelTelemetry(**obs.kernel_totals())
     if telemetry.total_cycles:
         skipped_pct = 100.0 * telemetry.skipped_cycles / telemetry.total_cycles
         terminalreporter.write_line(

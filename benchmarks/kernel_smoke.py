@@ -1,12 +1,11 @@
 """One-figure kernel smoke benchmark for CI.
 
 Runs a single figure's (benchmark, scheme) matrix cold — no disk cache —
-under every simulation kernel (``naive``, ``skip``, and the
-``vectorized``/``specialized`` backends) and records wall time plus the
-simulated-vs-skipped cycle telemetry as a ``BENCH_kernel_smoke.json``
-artifact. This is the recorded evidence that (a) every kernel agrees
-bit-for-bit with ``naive`` on the whole matrix and (b) how much wall
-clock each execution strategy saves.
+under every simulation kernel (``naive``, ``skip`` and ``specialized``)
+and records wall time plus the simulated-vs-skipped cycle telemetry as a
+``BENCH_kernel_smoke.json`` artifact. This is the recorded evidence that
+(a) every kernel agrees bit-for-bit with ``naive`` on the whole matrix
+and (b) how much wall clock each execution strategy saves.
 
 Usage::
 
@@ -21,8 +20,9 @@ import json
 import platform
 import time
 
+from repro import obs
 from repro.common.config import VALID_KERNELS
-from repro.core import engine
+from repro.core.engine import KernelTelemetry
 from repro.experiments import figures as fig_mod
 from repro.experiments.runner import ExperimentRunner, RunScale
 from repro.workloads.prewarm import clear_prewarm_cache
@@ -47,13 +47,16 @@ def run_smoke(figure: int, scale_instructions: int) -> dict:
     }
     payloads = {}
     for kernel in SMOKE_KERNELS:
-        engine.GLOBAL_TELEMETRY.reset()
+        before = obs.kernel_totals()
         clear_prewarm_cache()
         runner = ExperimentRunner(scale, store=False, kernel=kernel)
         started = time.perf_counter()
         stats_list = runner.run_many(pairs)
         wall = time.perf_counter() - started
-        telemetry = engine.GLOBAL_TELEMETRY
+        telemetry = KernelTelemetry(**{
+            name: value - before[name]
+            for name, value in obs.kernel_totals().items()
+        })
         payloads[kernel] = [stats.to_dict() for stats in stats_list]
         report["kernels"][kernel] = {
             "wall_time_s": round(wall, 3),

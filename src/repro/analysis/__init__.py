@@ -4,8 +4,7 @@ The dynamic nets (goldens, differential oracles, fault injection) catch
 an invariant violation only when a workload exercises it; this package
 proves the same contracts at the source level — skip-safety,
 determinism, fingerprint/version-tag completeness, checkpoint
-cycle-freedom, serve async hygiene — with content-addressed result
-caching so warm reruns re-analyze nothing.
+cycle-freedom, serve async hygiene, telemetry hygiene.
 
 Entry points: ``python -m repro.analysis`` (CLI) and
 :func:`run_analysis` (library).
@@ -13,10 +12,8 @@ Entry points: ``python -m repro.analysis`` (CLI) and
 
 from __future__ import annotations
 
-from repro.analysis.cache import AnalysisCache, NullCache
 from repro.analysis.engine import (
     AnalysisReport,
-    default_analysis_cache_dir,
     default_root,
     load_baseline,
     run_analysis,
@@ -28,14 +25,11 @@ from repro.analysis.rules import ALL_RULES, RULES_BY_ID, resolve_rules
 __all__ = [
     "ALL_RULES",
     "RULES_BY_ID",
-    "AnalysisCache",
     "AnalysisReport",
     "Finding",
-    "NullCache",
     "Project",
     "Rule",
     "SourceFile",
-    "default_analysis_cache_dir",
     "default_root",
     "load_baseline",
     "resolve_rules",

@@ -5,7 +5,7 @@ Examples::
     python -m repro.analysis                      # whole tree, all rules
     python -m repro.analysis --list-rules
     python -m repro.analysis --rules skip-safety,determinism
-    python -m repro.analysis path/to/file.py --no-cache
+    python -m repro.analysis path/to/file.py
     python -m repro.analysis --out report.json    # deterministic JSON
     python -m repro.analysis --write-baseline known.json
     python -m repro.analysis --baseline known.json
@@ -21,13 +21,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.cache import AnalysisCache, NullCache
-from repro.analysis.engine import (
-    default_analysis_cache_dir,
-    load_baseline,
-    run_analysis,
-    write_baseline,
-)
+from repro.analysis.engine import load_baseline, run_analysis, write_baseline
 from repro.analysis.rules import ALL_RULES, resolve_rules
 
 
@@ -66,14 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="stdout format (default: text)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        type=Path,
-        help="analysis result cache root (default: $REPRO_CACHE_DIR/analysis)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
     return parser
 
 
@@ -96,11 +82,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    if args.no_cache:
-        cache: AnalysisCache = NullCache()
-    else:
-        cache = AnalysisCache(args.cache_dir or default_analysis_cache_dir())
-
     baseline = None
     if args.baseline:
         try:
@@ -113,7 +94,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.targets or None,
         base=Path.cwd() if args.targets else None,
         rules=rules,
-        cache=cache,
         baseline=baseline,
     )
 

@@ -1,10 +1,9 @@
-"""Analysis orchestration: discovery, caching, suppression, reporting.
+"""Analysis orchestration: discovery, suppression, reporting.
 
-``run_analysis`` walks the target tree once, consults the
-content-addressed cache per (file, rule), re-applies suppressions and
-the baseline fresh on every run (they are cheap and must reflect the
-*current* source), and assembles a deterministic report whose JSON form
-is byte-identical between a cold and a warm run over the same tree.
+``run_analysis`` walks the target tree once, runs every applicable rule
+on every file, applies suppressions and the baseline, and assembles a
+deterministic report whose JSON form is byte-identical between two runs
+over the same tree.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.analysis.cache import AnalysisCache, NullCache, entry_key, framework_digest
 from repro.analysis.framework import (
     RULE_PARSE_ERROR,
     Finding,
@@ -25,7 +23,7 @@ from repro.analysis.framework import (
     apply_suppressions,
 )
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID
-from repro.experiments.store import atomic_write_json, default_cache_dir
+from repro.experiments.store import atomic_write_json
 
 BASELINE_SCHEMA = "repro-analysis-baseline-v1"
 REPORT_SCHEMA = "repro-analysis-report-v1"
@@ -34,10 +32,6 @@ REPORT_SCHEMA = "repro-analysis-report-v1"
 def default_root() -> Path:
     """The installed ``repro`` package tree (``src/repro`` in-repo)."""
     return Path(__file__).resolve().parent.parent
-
-
-def default_analysis_cache_dir() -> Path:
-    return default_cache_dir() / "analysis"
 
 
 @dataclass
@@ -49,9 +43,6 @@ class AnalysisReport:
     baselined: List[Finding]
     rules: List[str]
     files_analyzed: int
-    files_reanalyzed: int
-    cache_hits: int
-    cache_misses: int
     file_relpaths: List[str] = field(default_factory=list)
 
     @property
@@ -59,9 +50,8 @@ class AnalysisReport:
         return 1 if self.findings else 0
 
     def to_json_payload(self) -> Dict[str, object]:
-        """Deterministic payload: no timestamps, no absolute paths, no
-        cold/warm-dependent counters — a warm rerun must reproduce the
-        bytes exactly."""
+        """Deterministic payload: no timestamps, no absolute paths — a
+        rerun over the same tree must reproduce the bytes exactly."""
         return {
             "baselined": [f.to_dict() for f in self.baselined],
             "files": self.file_relpaths,
@@ -82,8 +72,6 @@ class AnalysisReport:
         ]
         lines.append(
             f"analysis: {self.files_analyzed} files, "
-            f"{self.files_reanalyzed} re-analyzed, "
-            f"{self.cache_hits} cached verdicts, "
             f"{len(self.findings)} findings "
             f"({len(self.suppressed)} suppressed, "
             f"{len(self.baselined)} baselined)"
@@ -151,7 +139,6 @@ def run_analysis(
     *,
     base: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    cache: Optional[AnalysisCache] = None,
     baseline: Optional[Set[str]] = None,
 ) -> AnalysisReport:
     if targets is None:
@@ -162,14 +149,10 @@ def run_analysis(
         base = Path.cwd()
     if rules is None:
         rules = ALL_RULES
-    if cache is None:
-        cache = NullCache()
 
     project = Project(discover_files(targets, base), base)
-    fw_digest = framework_digest()
 
     raw: List[Finding] = []
-    reanalyzed: Set[str] = set()
     for sf in project.files:
         if sf.tree is None:
             raw.append(
@@ -181,22 +164,10 @@ def run_analysis(
                     message=f"cannot parse: {sf.parse_error}",
                 )
             )
-            reanalyzed.add(sf.relpath)
             continue
         for rule in rules:
-            if not rule.applies(sf, project):
-                continue
-            key = entry_key(
-                rule.id, rule.material(project), sf.digest, sf.relpath, fw_digest
-            )
-            cached = cache.get(key)
-            if cached is None:
-                found = rule.check(sf, project)
-                cache.put(key, found)
-                reanalyzed.add(sf.relpath)
-            else:
-                found = cached
-            raw.extend(found)
+            if rule.applies(sf, project):
+                raw.extend(rule.check(sf, project))
 
     outcome = apply_suppressions(project, raw, RULES_BY_ID.keys())
     active = sorted(outcome.active + outcome.meta)
@@ -216,8 +187,5 @@ def run_analysis(
         baselined=baselined,
         rules=[rule.id for rule in rules],
         files_analyzed=len(project.files),
-        files_reanalyzed=len(reanalyzed),
-        cache_hits=cache.hits,
-        cache_misses=cache.misses,
         file_relpaths=[sf.relpath for sf in project.files],
     )

@@ -3,9 +3,8 @@
 The dynamic nets (goldens, differential oracles, fault injection) only
 catch an invariant violation when a workload happens to exercise it.
 This package checks the same contracts *at the source level*: each
-:class:`Rule` walks a file's AST and reports :class:`Finding` objects;
-the engine (``repro.analysis.engine``) caches per-(file, rule) results
-content-addressed on source digests so warm reruns re-analyze nothing.
+:class:`Rule` walks a file's AST and reports :class:`Finding` objects,
+which the engine (``repro.analysis.engine``) collects into a report.
 
 Suppressions
 ------------
@@ -26,14 +25,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-SCHEMA = "repro-analysis-v1"
-
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
-# Meta rule ids emitted by the framework itself (never cacheable, never
-# suppressible — a suppression that suppressed its own bookkeeping would
-# be unsound).
+# Meta rule ids emitted by the framework itself (never suppressible — a
+# suppression that suppressed its own bookkeeping would be unsound).
 RULE_PARSE_ERROR = "parse-error"
 RULE_UNKNOWN_SUPPRESSION = "unknown-suppression"
 RULE_UNUSED_SUPPRESSION = "unused-suppression"
@@ -68,18 +64,6 @@ class Finding:
             "severity": self.severity,
             "symbol": self.symbol,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            col=int(payload["col"]),  # type: ignore[arg-type]
-            rule=str(payload["rule"]),
-            message=str(payload["message"]),
-            symbol=str(payload.get("symbol", "")),
-            severity=str(payload.get("severity", SEVERITY_ERROR)),
-        )
 
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_\-, ]+)\]")
@@ -132,7 +116,6 @@ class SourceFile:
         self.relpath = relpath
         self.text = text
         self.lines = text.splitlines()
-        self.digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
         self.module = module if module is not None else self._pragma_module()
         self.suppressions = parse_suppressions(self.lines)
         self._tree: Optional[ast.AST] = None
@@ -186,18 +169,6 @@ class Project:
             sf.module: sf for sf in self.files if sf.module
         }
         self._class_index: Optional[Dict[str, ClassInfo]] = None
-        self._digest: Optional[str] = None
-
-    @property
-    def digest(self) -> str:
-        """Content digest over every analyzed file (cache material for
-        rules that consult cross-file state)."""
-        if self._digest is None:
-            h = hashlib.sha256()
-            for sf in self.files:
-                h.update(f"{sf.relpath}:{sf.digest}\n".encode("utf-8"))
-            self._digest = h.hexdigest()
-        return self._digest
 
     @property
     def class_index(self) -> Dict[str, ClassInfo]:
@@ -246,19 +217,13 @@ class Rule:
     """Base class for analysis rules.
 
     Subclasses set ``id``, ``summary`` and ``rationale``, and implement
-    :meth:`check`.  ``material`` feeds extra bytes into the per-file
-    cache key: a rule whose verdict depends on cross-file state must
-    fold that state's digest in, otherwise stale cached findings survive
-    edits to *other* files.
+    :meth:`check`.
     """
 
     id: str = ""
     severity: str = SEVERITY_ERROR
     summary: str = ""
     rationale: str = ""
-
-    def material(self, project: Project) -> str:
-        return ""
 
     def applies(self, source: SourceFile, project: Project) -> bool:
         return source.module is not None

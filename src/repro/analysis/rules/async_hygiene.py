@@ -22,6 +22,7 @@ SCOPE = ("repro.serve",)
 # block on simulation or disk I/O.
 BLOCKING_CALLS = frozenset(
     {
+        "execute_pair",
         "export_campaign",
         "load",
         "load_with_extra",

@@ -94,10 +94,6 @@ class FingerprintCompletenessRule(Rule):
         "content-addressed cache keys without any runtime signal."
     )
 
-    def material(self, project: Project) -> str:
-        # Inheriting from the mixin is resolved through the class index.
-        return project.digest
-
     def check(self, source: SourceFile, project: Project) -> List[Finding]:
         findings: List[Finding] = []
         tree = source.tree

@@ -164,11 +164,6 @@ class SkipSafetyRule(Rule):
         "diverge from the naive kernel."
     )
 
-    def material(self, project: Project) -> str:
-        # Contract resolution crosses files (base classes), so the
-        # verdict depends on the whole analyzed set.
-        return project.digest
-
     def applies(self, source: SourceFile, project: Project) -> bool:
         return source.in_package(SCOPE)
 

@@ -12,8 +12,8 @@ that way:
    could leak into statistics. Tagged code that wants a counter calls
    the :func:`repro.experiments.store.record_cache_event` seam (the
    store is the one audited exemption from the closure) or keeps plain
-   counters (``engine.GLOBAL_TELEMETRY``) for the untagged layer to
-   absorb.
+   per-run counters (``processor.kernel_telemetry``) for the untagged
+   layer to record.
 
 2. **Wall-clock quarantine** — ``repro.obs.clock`` is the only place in
    the ``repro`` tree allowed to read wall clocks. The deterministic

@@ -113,10 +113,6 @@ class VersionTagCoverageRule(Rule):
         "entries go stale with no invalidation signal."
     )
 
-    def material(self, project: Project) -> str:
-        store = project.by_module.get(STORE_MODULE)
-        return store.digest if store is not None else "fallback"
-
     def _covered(self, project: Project) -> Set[str]:
         store = project.by_module.get(STORE_MODULE)
         if store is not None:

@@ -1,52 +1,9 @@
-"""Specialized detailed-path simulation backends.
+"""The ``specialized`` simulation kernel's code generator and memo.
 
-Alternative hosts for the hot per-cycle loop, slotting under
-``ProcessorConfig.kernel`` next to the built-in ``naive``/``skip``
-kernels of :mod:`repro.core.engine`:
-
-* ``vectorized`` — scoreboard and issue-queue hot state re-hosted as
-  numpy structure-of-arrays (:mod:`repro.backends.soa`) under the
-  proven event-driven skip driver.
-* ``specialized`` — a per-configuration generated Python kernel with
-  geometry, widths, latencies and scheme dispatch baked in as literals
-  (:mod:`repro.backends.codegen`), compiled once and cached
-  content-addressed beside the result store.
-
-Both are execution strategies, not behaviour: bit-identical to
-``naive`` on every statistic, enforced by the randomized differential
-net and the discovery kernel-equivalence oracle. See
-:mod:`repro.backends.base` for the full contract.
+``specialized`` is a per-configuration generated Python kernel with
+geometry, widths, latencies and scheme dispatch baked in as literals
+(:mod:`repro.backends.codegen`), compiled once per process
+(:mod:`repro.backends.kernel_cache`). :func:`repro.core.engine.run_kernel`
+dispatches to it beside the built-in ``naive``/``skip`` loops; the
+contract every kernel keeps is documented on that dispatch table.
 """
-
-from __future__ import annotations
-
-from repro.common.config import VALID_KERNELS
-from repro.common.errors import SimulationError
-
-from repro.backends.base import SimulationBackend
-from repro.backends.specialized import SpecializedBackend
-from repro.backends.vectorized import VectorizedBackend
-
-__all__ = ["SimulationBackend", "BACKENDS", "get_backend"]
-
-#: Registered backends by kernel name.
-BACKENDS = {
-    backend.name: backend
-    for backend in (VectorizedBackend(), SpecializedBackend())
-}
-
-
-def get_backend(name: str) -> SimulationBackend:
-    """The backend registered under kernel name ``name``.
-
-    Raises :class:`SimulationError` with the engine's "unknown simulation
-    kernel" phrasing so callers see one error shape regardless of whether
-    a bad name misses the built-in kernels or the backend registry.
-    """
-    backend = BACKENDS.get(name)
-    if backend is None:
-        raise SimulationError(
-            f"unknown simulation kernel {name!r}; valid kernels: "
-            + ", ".join(sorted(VALID_KERNELS))
-        )
-    return backend

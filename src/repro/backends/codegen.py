@@ -31,16 +31,14 @@ Inlining ground rules (the bit-identity contract):
   (``scheme.try_dispatch``), rename, commit, fetch, LSQ bookkeeping,
   the MixBUFF FP selector (which gets a real ``IssueContext``).
 
-Generated sources are cached content-addressed by
-:mod:`repro.backends.kernel_cache`; this module's own bytes are part of
-the cache address, so editing the generator regenerates every kernel.
+Compiled kernels are memoized per process by
+:mod:`repro.backends.kernel_cache`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
 
 from repro.common.config import (
     SCHEME_CONVENTIONAL,
@@ -55,12 +53,11 @@ __all__ = [
     "CODEGEN_RUNS",
     "kernel_spec",
     "spec_digest",
-    "generator_digest",
     "generate_source",
 ]
 
 #: Number of times a kernel source was actually generated in this
-#: process. The codegen-cache tests pin "warm run performs zero codegen"
+#: process. The kernel-memo tests pin "a memo hit performs zero codegen"
 #: against this counter.
 CODEGEN_RUNS = 0
 
@@ -83,7 +80,7 @@ def kernel_spec(config: ProcessorConfig) -> dict:
     """The subset of the config the generated source depends on.
 
     Two configs with equal specs compile to byte-identical kernels, so
-    e.g. all benchmarks of one figure share one cached kernel per
+    e.g. all benchmarks of one figure share one compiled kernel per
     scheme. Anything that cannot change the emitted source (cache
     geometry, branch predictor, register-file sizes) stays out.
     """
@@ -115,23 +112,6 @@ def spec_digest(spec: dict) -> str:
     return hashlib.sha256(
         json.dumps(spec, sort_keys=True).encode("utf-8")
     ).hexdigest()
-
-
-_GENERATOR_DIGEST = None
-
-
-def generator_digest() -> str:
-    """SHA-256 of this generator's own source bytes.
-
-    Part of every kernel's cache address: editing the generator stales
-    every cached kernel, which the codegen-cache tests rely on.
-    """
-    global _GENERATOR_DIGEST
-    if _GENERATOR_DIGEST is None:
-        _GENERATOR_DIGEST = hashlib.sha256(
-            Path(__file__).resolve().read_bytes()
-        ).hexdigest()
-    return _GENERATOR_DIGEST
 
 
 def _indent(block: str, spaces: int) -> str:
@@ -656,7 +636,6 @@ def generate_source(spec: dict) -> str:
     body = f'''\
 """Generated specialized kernel — do not edit.
 
-Generator: repro.backends.codegen {generator_digest()[:12]}
 Spec digest: {spec_digest(spec)}
 Spec: {json.dumps(spec, sort_keys=True)}
 """

@@ -1,153 +1,31 @@
-"""Content-addressed cache of generated specialized-kernel sources.
+"""In-process memo of compiled specialized kernels.
 
-Generated kernels are pure functions of ``(generator source, kernel
-spec)``, so they are cached exactly like simulation results: addressed
-by content, written atomically, and *never trusted* — a damaged or
-truncated cache file reads as a miss and the kernel is regenerated.
-
-Layout, beside the result store under the same root::
-
-    $REPRO_CACHE_DIR/kernels/<generator digest[:12]>/<spec digest>.py
-
-Each file carries a self-describing first line::
-
-    # repro-specialized-kernel v1 content=<sha256 of the remainder>
-
-verified on load. The generator digest in the path means editing
-:mod:`repro.backends.codegen` orphans (not corrupts) every previously
-cached kernel. Disk caching is gated on ``$REPRO_CACHE_DIR`` being set,
-mirroring :meth:`ResultStore.from_env`'s hermetic-by-default policy; a
-per-process memo keyed ``(generator digest, spec digest)`` makes warm
-in-process reuse free either way. Writes stage through ``mkstemp`` +
-``os.replace`` and the kernels tree participates in the stale ``*.tmp``
-sweep (both via the result store's root sweep and directly here, for
-runs configured without a result store).
+Generated kernels are pure functions of the kernel spec, so each spec is
+generated and compiled once per process and the module is reused by
+every later run with an equal spec.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import types
-from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.backends import codegen
-from repro.experiments.store import _ENV_VAR, record_cache_event, sweep_stale_tmp
 
-__all__ = [
-    "KERNEL_HEADER_PREFIX",
-    "cache_root",
-    "kernel_path",
-    "load_kernel_module",
-    "clear_memo",
-]
+__all__ = ["load_kernel_module"]
 
-KERNEL_HEADER_PREFIX = "# repro-specialized-kernel v1 content="
-
-_memo: Dict[Tuple[str, str], types.ModuleType] = {}
-_swept_roots = set()
-
-
-def clear_memo() -> None:
-    """Drop the in-process module memo (tests use this to force codegen)."""
-    _memo.clear()
-    _swept_roots.clear()
-
-
-def cache_root() -> Optional[Path]:
-    """Kernel cache directory, or ``None`` when caching is off.
-
-    Same gate as the result store's ``from_env``: no ``$REPRO_CACHE_DIR``
-    means fully hermetic — generate in memory, touch no disk.
-    """
-    env = os.environ.get(_ENV_VAR)
-    if not env:
-        return None
-    return Path(env) / "kernels"
-
-
-def kernel_path(spec: dict, root: Optional[Path] = None) -> Optional[Path]:
-    """On-disk location of the kernel for ``spec`` (``None`` if no cache)."""
-    if root is None:
-        root = cache_root()
-    if root is None:
-        return None
-    return root / codegen.generator_digest()[:12] / f"{codegen.spec_digest(spec)}.py"
-
-
-def _read_cached(path: Path) -> Optional[str]:
-    """Cached source, or ``None`` on any damage — a miss, never an error."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError):
-        return None
-    header, sep, body = text.partition("\n")
-    if not sep or not header.startswith(KERNEL_HEADER_PREFIX):
-        return None
-    expected = header[len(KERNEL_HEADER_PREFIX):].strip()
-    if hashlib.sha256(body.encode("utf-8")).hexdigest() != expected:
-        return None
-    return body
-
-
-def _write_cached(path: Path, source: str) -> None:
-    """Atomic best-effort write; a failed cache write never fails the run."""
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    payload = f"{KERNEL_HEADER_PREFIX}{digest}\n{source}"
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        import tempfile
-
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        pass
-
-
-def _compile(source: str, spec_sha: str) -> types.ModuleType:
-    name = f"repro_specialized_kernel_{spec_sha[:12]}"
-    module = types.ModuleType(name)
-    module.__file__ = f"<generated {name}>"
-    code = compile(source, module.__file__, "exec")
-    exec(code, module.__dict__)
-    return module
+_memo: Dict[str, types.ModuleType] = {}
 
 
 def load_kernel_module(spec: dict) -> types.ModuleType:
-    """The compiled kernel module for ``spec`` (memo → disk → generate)."""
-    gen = codegen.generator_digest()
+    """The compiled kernel module for ``spec`` (memo, else generate)."""
     spec_sha = codegen.spec_digest(spec)
-    key = (gen, spec_sha)
-    module = _memo.get(key)
-    if module is not None:
-        return module
-    root = cache_root()
-    source = None
-    path = None
-    if root is not None:
-        if root not in _swept_roots:
-            # Specialized runs configured without a ResultStore still get
-            # orphaned-temp hygiene for their corner of the cache.
-            sweep_stale_tmp(root)
-            _swept_roots.add(root)
-        path = kernel_path(spec, root)
-        source = _read_cached(path)
-        record_cache_event("kernels", "hit" if source is not None else "miss")
-    if source is None:
+    module = _memo.get(spec_sha)
+    if module is None:
+        name = f"repro_specialized_kernel_{spec_sha[:12]}"
+        module = types.ModuleType(name)
+        module.__file__ = f"<generated {name}>"
         source = codegen.generate_source(spec)
-        if path is not None:
-            _write_cached(path, source)
-            record_cache_event("kernels", "write")
-    module = _compile(source, spec_sha)
-    _memo[key] = module
+        exec(compile(source, module.__file__, "exec"), module.__dict__)
+        _memo[spec_sha] = module
     return module

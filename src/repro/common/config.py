@@ -23,7 +23,6 @@ __all__ = [
     "ProcessorConfig",
     "KERNEL_NAIVE",
     "KERNEL_SKIP",
-    "KERNEL_VECTORIZED",
     "KERNEL_SPECIALIZED",
     "VALID_KERNELS",
     "default_config",
@@ -195,14 +194,12 @@ class FunctionalUnitConfig(_Fingerprinted):
 # Simulation-kernel constants (see repro.core.engine and repro.backends).
 # The kernel is an execution strategy, not simulated behaviour: every
 # kernel must produce bit-identical SimulationStats for every input.
-# ``naive``/``skip`` are the built-in engine loops; ``vectorized`` and
-# ``specialized`` are the detailed-path backends of :mod:`repro.backends`
-# (numpy structure-of-arrays batching and per-config generated kernels).
+# ``naive``/``skip`` are the built-in engine loops; ``specialized`` runs
+# a per-config generated kernel from :mod:`repro.backends`.
 KERNEL_NAIVE = "naive"
 KERNEL_SKIP = "skip"
-KERNEL_VECTORIZED = "vectorized"
 KERNEL_SPECIALIZED = "specialized"
-VALID_KERNELS = (KERNEL_NAIVE, KERNEL_SKIP, KERNEL_VECTORIZED, KERNEL_SPECIALIZED)
+VALID_KERNELS = (KERNEL_NAIVE, KERNEL_SKIP, KERNEL_SPECIALIZED)
 
 # Scheme kind constants (strings keep configs printable and hashable).
 SCHEME_CONVENTIONAL = "conventional"

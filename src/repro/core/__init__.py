@@ -1,11 +1,6 @@
 """Out-of-order core substrate and the top-level processor model."""
 
-from repro.core.engine import (
-    GLOBAL_TELEMETRY,
-    KERNEL_NAIVE,
-    KERNEL_SKIP,
-    KernelTelemetry,
-)
+from repro.core.engine import KERNEL_NAIVE, KERNEL_SKIP, KernelTelemetry
 from repro.core.functional_units import (
     DistributedFuPool,
     FunctionalUnit,
@@ -23,7 +18,6 @@ __all__ = [
     "DistributedFuPool",
     "FuPool",
     "FunctionalUnit",
-    "GLOBAL_TELEMETRY",
     "InFlight",
     "KERNEL_NAIVE",
     "KERNEL_SKIP",

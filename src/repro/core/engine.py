@@ -2,7 +2,8 @@
 
 The :class:`~repro.core.processor.Processor` owns the pipeline *stages*;
 this module owns the *loop* that drives them. Two kernels share the same
-stage code and must be bit-identical in every reported statistic:
+stage code and must be bit-identical in every reported statistic (a
+third, ``specialized``, runs generated code; see :data:`_KERNELS`):
 
 ``naive``
     Tick :meth:`Processor.step` once per simulated cycle — the seed
@@ -46,11 +47,12 @@ stage code and must be bit-identical in every reported statistic:
     functional fast-forward between them, statistics as error-bounded
     estimates. See :mod:`repro.sampling`.
 
-Telemetry: each run fills ``processor.kernel_telemetry`` and the
-process-wide :data:`GLOBAL_TELEMETRY` accumulator with the number of
-cycles actually executed vs. skipped (and broadcast cycles drained in
-closed form), so benchmarks can report how much simulated time the
-event wheel jumped over.
+Telemetry: each run fills ``processor.kernel_telemetry`` with the
+number of cycles actually executed vs. skipped (and broadcast cycles
+drained in closed form), so benchmarks can report how much simulated
+time the event wheel jumped over. This module sits inside the
+version-tag closure and must not import ``repro.obs``; the untagged
+experiments layer records each run's own telemetry into the registry.
 """
 
 from __future__ import annotations
@@ -59,18 +61,23 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common import faults
-from repro.common.config import KERNEL_NAIVE, KERNEL_SKIP, VALID_KERNELS
+from repro.common.config import (
+    KERNEL_NAIVE,
+    KERNEL_SKIP,
+    KERNEL_SPECIALIZED,
+    VALID_KERNELS,
+)
 from repro.common.errors import SimulationError
 
 __all__ = [
     "KernelTelemetry",
-    "GLOBAL_TELEMETRY",
     "KERNEL_NAIVE",
     "KERNEL_SKIP",
     "VALID_KERNELS",
     "run_kernel",
     "run_naive",
     "run_skipping",
+    "run_specialized",
     "run_sampled",
 ]
 
@@ -106,23 +113,6 @@ class KernelTelemetry:
         self.skipped_cycles += other.skipped_cycles
         self.skip_spans += other.skip_spans
         self.drained_broadcasts += other.drained_broadcasts
-
-    def reset(self) -> None:
-        self.executed_cycles = 0
-        self.skipped_cycles = 0
-        self.skip_spans = 0
-        self.drained_broadcasts = 0
-
-
-#: Compatibility shim: a process-wide accumulator of plain counters.
-#: The authoritative sink is now the ``repro.obs`` metrics registry —
-#: but this module sits inside the version-tag closure, which must not
-#: import ``repro.obs`` (telemetry may never rotate a cache key), so the
-#: engine keeps counting here and the *untagged* experiments layer
-#: measures the growth around each run and absorbs it into the registry
-#: (see ``ExperimentRunner._simulate`` / ``parallel._simulate_to_payload``).
-#: Kept public for the bench harness and tests that read or reset it.
-GLOBAL_TELEMETRY = KernelTelemetry()
 
 
 def _no_progress(processor, cycle: int, committed: int, total: int) -> SimulationError:
@@ -215,7 +205,51 @@ def run_skipping(processor, total: int, max_cycles: int, warmup_instructions: in
     return processor.stats
 
 
-_KERNELS = {KERNEL_NAIVE: run_naive, KERNEL_SKIP: run_skipping}
+def run_specialized(processor, total: int, max_cycles: int,
+                    warmup_instructions: int):
+    """Per-configuration generated kernel (:mod:`repro.backends`).
+
+    The generated kernel clones the loop of :func:`run_skipping` over a
+    flattened ``Processor.step``; the module is compiled once per kernel
+    spec.
+    """
+    # Imported lazily, so runs of the built-in kernels never load the
+    # generator.
+    from repro.backends import codegen, kernel_cache
+
+    module = kernel_cache.load_kernel_module(codegen.kernel_spec(processor.config))
+    kernel = module.make_kernel(processor)
+    return kernel(total, max_cycles, warmup_instructions)
+
+
+_KERNELS = {
+    KERNEL_NAIVE: run_naive,
+    KERNEL_SKIP: run_skipping,
+    KERNEL_SPECIALIZED: run_specialized,
+}
+"""Every simulation kernel, by ``ProcessorConfig.kernel`` name.
+
+The contract each kernel keeps:
+
+* ``run(processor, total, max_cycles, warmup_instructions)`` simulates
+  until ``total`` instructions commit and returns the processor's
+  :class:`~repro.common.stats.SimulationStats`. It fills
+  ``processor.kernel_telemetry`` and raises
+  :class:`~repro.common.errors.SimulationError` on forward-progress
+  failure.
+* **Bit identity**: every reported statistic equals the ``naive``
+  kernel's on the same inputs. A kernel is an execution strategy, never
+  simulated behaviour; the randomized differential net
+  (``tests/test_kernel_equivalence.py``) and the discovery
+  kernel-equivalence oracle enforce this.
+* A kernel touches only state private to the processor it is handed:
+  checkpoints restored before ``Processor.run`` (sampled slices) and
+  prewarm memoization touch the memory hierarchy and predictor only.
+* Kernel names validate through ``ProcessorConfig.kernel`` and stay out
+  of cache fingerprints; the kernel sources (this module and
+  :mod:`repro.backends`) hash into ``SIMULATOR_VERSION_TAG``, so editing
+  a kernel invalidates cached results.
+"""
 
 
 def run_sampled(
@@ -293,16 +327,11 @@ def run_sampled(
 
 def run_kernel(processor, kernel: str, total: int, max_cycles: int,
                warmup_instructions: int):
-    """Dispatch to the requested kernel and fold telemetry globally."""
+    """Dispatch to the requested kernel (see :data:`_KERNELS`)."""
     runner = _KERNELS.get(kernel)
     if runner is None:
-        # Backend kernels (vectorized, specialized) live in repro.backends;
-        # imported lazily so the core engine stays dependency-light and
-        # get_backend keeps the single "unknown simulation kernel" error.
-        from repro.backends import get_backend
-
-        runner = get_backend(kernel).run
-    try:
-        return runner(processor, total, max_cycles, warmup_instructions)
-    finally:
-        GLOBAL_TELEMETRY.merge(processor.kernel_telemetry)
+        raise SimulationError(
+            f"unknown simulation kernel {kernel!r}; valid kernels: "
+            + ", ".join(sorted(VALID_KERNELS))
+        )
+    return runner(processor, total, max_cycles, warmup_instructions)

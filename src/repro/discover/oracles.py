@@ -7,7 +7,7 @@ plus workload, see :class:`~repro.explore.space.DesignPoint`) at one
 
 * **Differential** oracles run the same point twice along an axis that
   is bit-identical *by contract* — naive vs. each other registered
-  kernel (skip and the vectorized/specialized backends), serial vs.
+  kernel (skip and specialized), serial vs.
   multiprocessing execution — and diff the full statistics.
   Each leg runs under its own cache-key salt: the processor fingerprint
   deliberately excludes the kernel (the contract says it cannot
@@ -356,15 +356,15 @@ class Oracle:
 class KernelEquivalenceOracle(Oracle):
     name = "kernel_equivalence"
     description = (
-        "every simulation kernel (skip and the vectorized/specialized "
-        "backends) produces statistics bit-identical to naive"
+        "every simulation kernel (skip and specialized) produces "
+        "statistics bit-identical to naive"
     )
 
     def run(self, ctx, points, scale):
         # One salted runner per kernel: each leg gets its own cache-key
-        # namespace (see module docstring), and every registered kernel —
-        # built-in or backend — is differenced against the naive
-        # reference, not pairwise against each other.
+        # namespace (see module docstring), and every registered kernel
+        # is differenced against the naive reference, not pairwise
+        # against each other.
         legs = {
             kernel: ctx.runner(
                 scale, kernel=kernel, salt=f"discover:kernel={kernel}"

@@ -5,7 +5,7 @@ Command line::
     python -m repro.experiments.campaign [--scale N] [--figures 2,3,8]
         [--schemes IQ_64_64,IF_distr] [--workers N]
         [--benchmarks int|fp|all]
-        [--kernel naive|skip|vectorized|specialized]
+        [--kernel naive|skip|specialized]
         [--sampling [SPEC]] [--sampling-validate] [--list]
         [--cache-dir DIR] [--no-cache] [--profile [FILE]]
         [--output json|csv] [--output-path FILE] [--trace-out DIR]
@@ -28,12 +28,10 @@ rendering — rerun with ``--figures`` alone afterwards to render from the
 warm cache.
 
 ``--kernel`` selects the simulation loop: ``skip`` (default) jumps over
-provably dead cycles, ``naive`` ticks every cycle (both in
-:mod:`repro.core.engine`), and ``vectorized``/``specialized`` are the
-:mod:`repro.backends` execution strategies (numpy SoA hot state, or a
-per-configuration compiled kernel). Results are bit-identical across
-all four; the campaign footer reports how many cycles were actually
-executed vs. skipped.
+provably dead cycles, ``naive`` ticks every cycle, and ``specialized``
+runs a per-configuration generated kernel (:mod:`repro.backends`).
+Results are bit-identical across all three; the campaign footer reports
+how many cycles were actually executed vs. skipped.
 
 ``--profile [FILE]`` wraps the whole run in :mod:`cProfile`: the raw
 pstats data lands at ``FILE`` (default ``campaign.prof``) next to the
@@ -207,17 +205,12 @@ def version_payload() -> Dict[str, object]:
     construction, so CLI-vs-service cache mismatches are diagnosable
     with one diff.
     """
-    from repro.backends import BACKENDS
     from repro.experiments.store import SAMPLING_VERSION_TAG, SIMULATOR_VERSION_TAG
 
     return {
         "simulator_version_tag": SIMULATOR_VERSION_TAG,
         "sampling_version_tag": SAMPLING_VERSION_TAG,
         "kernels": list(VALID_KERNELS),
-        "backends": {
-            name: type(backend).__name__
-            for name, backend in sorted(BACKENDS.items())
-        },
     }
 
 
@@ -346,8 +339,8 @@ def main(argv: List[str] = None) -> None:
                         default="skip",
                         help="simulation kernel: event-driven cycle "
                              "skipping (default), the naive per-cycle "
-                             "loop, or the vectorized/specialized "
-                             "backends; results are bit-identical")
+                             "loop, or the per-config generated "
+                             "kernel; results are bit-identical")
     parser.add_argument("--profile", type=str, nargs="?", const="campaign.prof",
                         default=None, metavar="FILE",
                         help="run the campaign under cProfile: dump pstats "
@@ -374,7 +367,7 @@ def main(argv: List[str] = None) -> None:
                              "and kernels, then exit")
     parser.add_argument("--version-tag", action="store_true",
                         help="print the simulator/sampling version tags and "
-                             "the kernel/backend registry as JSON, then exit "
+                             "the simulation kernels as JSON, then exit "
                              "(byte-identical to the service's GET "
                              "/v1/version — the cache-debugging parity "
                              "check between CLI and service)")
@@ -520,8 +513,7 @@ def _run_profiled(path: str, func: Callable, *call_args) -> None:
 def _run_selected(args, parser, scale, store, plan, numbers) -> None:
     """Execute the selected campaign mode (after all argument vetting)."""
     # Footer telemetry is registry-backed: snapshot the per-kernel cycle
-    # totals up front and report the growth, instead of resetting the
-    # engine's process-global shim (which other harnesses may be using).
+    # totals up front and report the growth.
     kernel_before = obs.kernel_totals()
     started = obs.clock.perf_counter()
     if args.sampling_validate:

@@ -15,13 +15,13 @@ back to a per-process trace cache keyed on (benchmark, length, seed).
 Traces are deterministic in those inputs, so every path yields the same
 stream.
 
-Results cross the process boundary as ``SimulationStats.to_dict()``
-payloads — the same representation the disk store persists — so the
-parallel path exercises exactly the serialization the cache relies on.
-Each payload also carries the worker's kernel telemetry (cycles executed
-vs. skipped), which the parent folds into
-:data:`repro.core.engine.GLOBAL_TELEMETRY` so campaign-level reporting
-sees the whole fleet.
+Every job runs :func:`repro.experiments.runner.execute_pair`, the same
+function the serial runner calls. Results cross the process boundary as
+``SimulationStats.to_dict()`` payloads — the same representation the
+disk store persists — so the parallel path exercises exactly the
+serialization the cache relies on. Each payload also carries the job's
+``repro.obs`` registry delta (kernel cycles included), which the parent
+merges so campaign-level reporting sees the whole fleet.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro import obs
 from repro.common.config import IssueSchemeConfig, ProcessorConfig
 from repro.common.stats import SimulationStats
-from repro.core import engine
 
 #: Mirrors :data:`repro.experiments.runner.SchemeOrConfig` (kept local to
 #: avoid importing the runner in the parent before workers fork/spawn).
@@ -54,15 +53,23 @@ def worker_count(requested: int = 0) -> int:
 
 
 def _init_worker() -> None:
-    """Pool initializer: workers ignore SIGINT.
+    """Pool initializer: workers ignore SIGINT and die on SIGTERM.
 
     A terminal Ctrl-C delivers SIGINT to the whole process group; if the
     workers also raised ``KeyboardInterrupt`` the pool would die out from
     under the parent mid-drain. Shutdown is the parent's decision alone:
     it either lets the in-flight batch finish or terminates the pool
     explicitly (see :func:`simulate_matrix`).
+
+    ``Pool.terminate`` stops workers with SIGTERM. A worker forked from a
+    process whose asyncio loop handles SIGTERM (``repro.serve``) inherits
+    that loop's no-op handler and its wakeup fd: the worker would survive
+    the signal, the pool's join would wait on it forever, and the signal
+    byte would reach the parent loop's handler. So both are reset here.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
 
 
 #: How often the parent wakes while waiting on a batch. Purely a
@@ -111,71 +118,38 @@ def _load_worker_trace(benchmark: str, scale, trace_dir: Optional[str]):
     return trace
 
 
-def _simulate_to_payload(job: tuple) -> dict:
-    """Worker entry point: simulate one pair, return stats + telemetry.
+def _run_job(job: tuple) -> dict:
+    """Worker entry point: :func:`execute_pair` on one job, as a payload.
 
-    Sampled jobs (a non-``None`` plan in the job tuple) run the sampled
-    execution mode and additionally carry the estimate record — the same
-    JSON representation the disk store persists.
+    Sampled jobs (a non-``None`` plan in the job tuple) additionally
+    carry the estimate record — the same JSON representation the disk
+    store persists.
     """
     # Imported here (not at module top) so the parent's import of this
     # module stays cheap and spawn-based workers re-import lazily.
-    from repro.experiments.runner import (
-        resolve_config,
-        scheme_label,
-        simulate_pair,
-        simulate_sampled_pair,
-    )
+    from repro.experiments.runner import execute_pair
 
     benchmark, scheme, scale, kernel, trace_dir, sampling, checkpoint_dir = job
     trace = _load_worker_trace(benchmark, scale, trace_dir)
-    effective_kernel = kernel or resolve_config(scheme).kernel
     metrics_before = obs.get_registry().snapshot()
-    before = engine.GLOBAL_TELEMETRY.as_dict()
-    sampled_payload = None
-    detailed = None
-    with obs.span(
-        "worker.simulate",
-        benchmark=benchmark,
-        scheme=scheme_label(scheme),
-        kernel=effective_kernel,
-        mode="sampled" if sampling is not None else "full",
-    ):
-        if sampling is not None:
-            sampled, trace = simulate_sampled_pair(
-                benchmark,
-                scheme,
-                scale,
-                sampling,
-                trace=trace,
-                kernel=kernel,
-                checkpoint_dir=checkpoint_dir,
-            )
-            stats = sampled.stats
-            sampled_payload = sampled.to_dict()
-            detailed = int(sampled.detailed_instructions)
-        else:
-            stats, trace = simulate_pair(
-                benchmark, scheme, scale, trace=trace, kernel=kernel
-            )
-    after = engine.GLOBAL_TELEMETRY.as_dict()
+    stats, trace, sampled = execute_pair(
+        benchmark,
+        scheme,
+        scale,
+        kernel=kernel,
+        sampling=sampling,
+        trace=trace,
+        checkpoint_dir=checkpoint_dir,
+    )
     _WORKER_TRACES[(benchmark, scale.num_instructions, scale.seed)] = trace
-    telemetry = {name: after[name] - before[name] for name in after}
-    obs.record_kernel_delta(effective_kernel, telemetry)
-    if detailed is not None:
-        obs.counter("repro_sampling_detailed_instructions_total").inc(detailed)
-        obs.counter("repro_sampling_ffwd_instructions_total").inc(
-            max(0, scale.num_instructions - detailed)
-        )
     payload = {
         "stats": stats.to_dict(),
-        "telemetry": telemetry,
         # Registry growth during this job only: the parent merges it so
         # counters and histograms come out identical to a serial run.
         "metrics": obs.get_registry().delta_since(metrics_before),
     }
-    if sampled_payload is not None:
-        payload["sampled"] = sampled_payload
+    if sampled is not None:
+        payload["sampled"] = sampled.to_dict()
     # Pool workers exit via os._exit (no atexit), so persist trace files
     # after every job; a no-op when tracing is off.
     obs.flush()
@@ -220,27 +194,21 @@ def simulate_matrix(
     ]
     workers = min(worker_count(workers), len(jobs)) if jobs else 0
     if workers <= 1:
-        payloads = [_simulate_to_payload(job) for job in jobs]
-        # In-process execution already updated GLOBAL_TELEMETRY and the
-        # metrics registry directly — merging would double-count.
+        payloads = [_run_job(job) for job in jobs]
+        # In-process execution already updated the metrics registry
+        # directly — merging would double-count.
         for payload in payloads:
-            payload.pop("telemetry", None)
             payload.pop("metrics", None)
     else:
         with multiprocessing.Pool(
             processes=workers, initializer=_init_worker
         ) as pool:
-            async_result = pool.map_async(
-                _simulate_to_payload, jobs, chunksize=1
-            )
+            async_result = pool.map_async(_run_job, jobs, chunksize=1)
             pool.close()
             payloads = _drain_pool(
                 pool, async_result, (trace_dir, checkpoint_dir)
             )
         for payload in payloads:
-            worker_tel = payload.pop("telemetry", None)
-            if worker_tel:
-                engine.GLOBAL_TELEMETRY.merge(engine.KernelTelemetry(**worker_tel))
             # Fold each worker's registry delta into the parent: counter
             # and histogram *content* is deterministic (cycle counts,
             # cache events), so the merged totals match a serial run.

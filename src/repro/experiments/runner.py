@@ -34,6 +34,7 @@ from repro.common.config import (
     stable_fingerprint,
 )
 from repro.common.stats import SimulationStats
+from repro.core.engine import KernelTelemetry
 from repro.core.processor import Processor
 from repro.experiments.store import ResultStore, result_key
 from repro.workloads.generator import generate_trace
@@ -51,6 +52,7 @@ __all__ = [
     "scheme_label",
     "simulate_pair",
     "simulate_sampled_pair",
+    "execute_pair",
     "clear_trace_memo",
 ]
 
@@ -137,19 +139,17 @@ def simulate_pair(
     scale: RunScale,
     trace: Optional[Trace] = None,
     kernel: Optional[str] = None,
-) -> Tuple[SimulationStats, Trace]:
+) -> Tuple[SimulationStats, Trace, KernelTelemetry]:
     """Simulate one (benchmark, scheme-or-config) pair from scratch.
 
-    This is *the* simulation entry point: the serial runner and the
-    multiprocessing workers both call it, so every execution path runs
-    identical code. ``scheme`` is an :class:`IssueSchemeConfig` (run
-    inside the Table 1 processor) or a full :class:`ProcessorConfig`.
-    Pass a previously generated ``trace`` to skip trace generation
-    (traces are deterministic in (profile, length, seed), so a reused
-    trace is indistinguishable from a fresh one). ``kernel`` overrides
-    the config's simulation kernel (``"naive"``/``"skip"``) — a
-    wall-clock knob only, results are bit-identical either way.
-    Returns the stats together with the trace for reuse.
+    ``scheme`` is an :class:`IssueSchemeConfig` (run inside the Table 1
+    processor) or a full :class:`ProcessorConfig`. Pass a previously
+    generated ``trace`` to skip trace generation (traces are
+    deterministic in (profile, length, seed), so a reused trace is
+    indistinguishable from a fresh one). ``kernel`` overrides the
+    config's simulation kernel — a wall-clock knob only, results are
+    bit-identical either way. Returns the stats, the trace for reuse and
+    the run's own kernel telemetry.
     """
     profile = get_profile(benchmark)
     if trace is None:
@@ -160,7 +160,7 @@ def simulate_pair(
     processor = Processor(config, trace)
     prewarm(processor.hierarchy, profile, scale.seed)
     stats = processor.run(warmup_instructions=scale.warmup_instructions)
-    return stats, trace
+    return stats, trace, processor.kernel_telemetry
 
 
 def simulate_sampled_pair(
@@ -178,10 +178,12 @@ def simulate_sampled_pair(
     the same trace and measured region a full run would use: detailed
     slices per ``sampling`` (a :class:`~repro.sampling.plan.SamplingPlan`),
     functional fast-forward between them, warm-state checkpoints under
-    ``checkpoint_dir`` when given. Returns ``(sampled, trace)`` where
-    ``sampled`` is a :class:`~repro.sampling.estimator.SampledStats` —
-    its ``.stats`` is the synthesized whole-run statistics object that
-    caches and figure generators consume.
+    ``checkpoint_dir`` when given. Returns ``(sampled, trace,
+    telemetry)`` where ``sampled`` is a
+    :class:`~repro.sampling.estimator.SampledStats` — its ``.stats`` is
+    the synthesized whole-run statistics object that caches and figure
+    generators consume — and ``telemetry`` covers the detailed slices
+    only.
     """
     from repro.core import engine
     from repro.sampling.checkpoints import CheckpointStore
@@ -212,7 +214,63 @@ def simulate_sampled_pair(
         scale.num_instructions - scale.warmup_instructions,
         telemetry.executed_cycles,
     )
-    return sampled, trace
+    return sampled, trace, telemetry
+
+
+def execute_pair(
+    benchmark: str,
+    scheme: SchemeOrConfig,
+    scale: RunScale,
+    kernel: Optional[str] = None,
+    sampling=None,
+    trace: Optional[Trace] = None,
+    checkpoint_dir: Optional[str] = None,
+):
+    """Simulate one uncached pair and record its telemetry.
+
+    The one execution path: :class:`ExperimentRunner`'s serial path and
+    every :mod:`~repro.experiments.parallel` pool worker call it. It runs
+    :func:`simulate_pair`, or :func:`simulate_sampled_pair` when
+    ``sampling`` is a plan, and records that run's own kernel telemetry
+    into the ``repro.obs`` registry, so runs overlapping in other
+    threads never leak cycles into each other's counts. Returns
+    ``(stats, trace, sampled)``; ``sampled`` is ``None`` for full runs.
+    """
+    kernel_name = kernel or resolve_config(scheme).kernel
+    with obs.span(
+        "runner.simulate",
+        benchmark=benchmark,
+        scheme=scheme_label(scheme),
+        kernel=kernel_name,
+        mode="sampled" if sampling is not None else "full",
+    ):
+        if sampling is None:
+            stats, trace, telemetry = simulate_pair(
+                benchmark, scheme, scale, trace=trace, kernel=kernel
+            )
+            sampled = None
+        else:
+            sampled, trace, telemetry = simulate_sampled_pair(
+                benchmark,
+                scheme,
+                scale,
+                sampling,
+                trace=trace,
+                kernel=kernel,
+                checkpoint_dir=checkpoint_dir,
+            )
+            stats = sampled.stats
+    obs.record_kernel_delta(kernel_name, telemetry.as_dict())
+    if sampled is not None:
+        # The ffwd-vs-detailed split: how much of the instruction
+        # stream went through functional fast-forward instead of
+        # detailed simulation.
+        detailed = int(sampled.detailed_instructions)
+        obs.counter("repro_sampling_detailed_instructions_total").inc(detailed)
+        obs.counter("repro_sampling_ffwd_instructions_total").inc(
+            max(0, scale.num_instructions - detailed)
+        )
+    return stats, trace, sampled
 
 
 class ExperimentRunner:
@@ -376,66 +434,20 @@ class ExperimentRunner:
                 extra=sampled.to_dict() if sampled is not None else None,
             )
 
-    def _simulate(self, benchmark: str, scheme: SchemeOrConfig):
-        """One uncached simulation in the configured execution mode.
-
-        Also the registry absorption point for kernel-cycle telemetry:
-        the engine (inside the version-tag closure, so barred from
-        importing ``repro.obs``) accumulates plain counters in
-        ``GLOBAL_TELEMETRY``; this untagged layer measures the growth
-        around each run and feeds the per-kernel counters/histograms.
-        Attribution is per-run-exact for the serial CLIs; concurrent
-        in-process batches (the serve executor threads) may attribute
-        overlapping cycles to the wrong span.
-        """
-        from repro.core import engine
-
-        kernel = self.kernel or resolve_config(scheme).kernel
-        mode = "sampled" if self.sampling is not None else "full"
-        before = engine.GLOBAL_TELEMETRY.as_dict()
-        with obs.span(
-            "runner.simulate",
-            benchmark=benchmark,
-            scheme=scheme_label(scheme),
-            kernel=kernel,
-            mode=mode,
-        ):
-            if self.sampling is not None:
-                sampled, trace = simulate_sampled_pair(
-                    benchmark,
-                    scheme,
-                    self.scale,
-                    self.sampling,
-                    trace=self._trace_cache.get(benchmark),
-                    kernel=self.kernel,
-                    checkpoint_dir=self._checkpoint_dir(),
-                )
-                result = (sampled.stats, trace, sampled)
-            else:
-                stats, trace = simulate_pair(
-                    benchmark,
-                    scheme,
-                    self.scale,
-                    trace=self._trace_cache.get(benchmark),
-                    kernel=self.kernel,
-                )
-                result = (stats, trace, None)
-        after = engine.GLOBAL_TELEMETRY.as_dict()
-        obs.record_kernel_delta(
-            kernel, {name: after[name] - before[name] for name in after}
+    def _execute(self, benchmark: str, scheme: SchemeOrConfig) -> SimulationStats:
+        """Simulate one uncached pair in process and file the result."""
+        stats, trace, sampled = execute_pair(
+            benchmark,
+            scheme,
+            self.scale,
+            kernel=self.kernel,
+            sampling=self.sampling,
+            trace=self._trace_cache.get(benchmark),
+            checkpoint_dir=self._checkpoint_dir(),
         )
-        if self.sampling is not None:
-            # The ffwd-vs-detailed split: how much of the instruction
-            # stream went through functional fast-forward instead of
-            # detailed simulation.
-            detailed = int(result[2].detailed_instructions)
-            obs.counter("repro_sampling_detailed_instructions_total").inc(
-                detailed
-            )
-            obs.counter("repro_sampling_ffwd_instructions_total").inc(
-                max(0, self.scale.num_instructions - detailed)
-            )
-        return result
+        self._trace_cache[benchmark] = trace
+        self._record(benchmark, scheme, stats, sampled)
+        return stats
 
     def run(self, benchmark: str, scheme: SchemeOrConfig) -> SimulationStats:
         """Simulate one (benchmark, scheme-or-config) pair (cached)."""
@@ -449,9 +461,7 @@ class ExperimentRunner:
                 info["source"] = self._last_source
             else:
                 info["source"] = "simulated"
-                stats, trace, sampled = self._simulate(benchmark, scheme)
-                self._trace_cache[benchmark] = trace
-                self._record(benchmark, scheme, stats, sampled)
+                stats = self._execute(benchmark, scheme)
             if obs.trace_enabled():
                 # Per-key provenance: which content address answered.
                 info["key"] = self.store_key(benchmark, scheme)
@@ -526,9 +536,7 @@ class ExperimentRunner:
                         self._record(benchmark, scheme, result)
             else:
                 for benchmark, scheme in misses:
-                    stats, trace, sampled = self._simulate(benchmark, scheme)
-                    self._trace_cache[benchmark] = trace
-                    self._record(benchmark, scheme, stats, sampled)
+                    self._execute(benchmark, scheme)
         return [self._result_cache[(b, s)] for b, s in pairs]
 
     def prefetch(

@@ -67,13 +67,12 @@ _CACHE_EVENT_METRICS = {
 def record_cache_event(cache: str, event: str, amount: int = 1) -> None:
     """Count one cache observation in the obs metrics registry.
 
-    ``cache`` labels the series (``results``, ``checkpoints``,
-    ``kernels``); ``event`` is one of ``hit``/``miss``/``corrupt``/
-    ``write``. This function is the telemetry seam for version-tagged
-    callers: the checkpoint store and the kernel cache already import
-    this module (it is the one exemption from the version-tag closure)
-    but must not import ``repro.obs`` themselves, so they count through
-    here. Purely additive — no caller behaviour may depend on it.
+    ``cache`` labels the series (``results``, ``checkpoints``);
+    ``event`` is one of ``hit``/``miss``/``corrupt``/``write``. This
+    function is the telemetry seam for version-tagged callers: the
+    checkpoint store already imports this module (it is the one
+    exemption from the version-tag closure) but must not import
+    ``repro.obs`` itself, so it counts through here. Purely additive — no caller behaviour may depend on it.
     """
     metrics.counter(_CACHE_EVENT_METRICS[event], store=cache).inc(amount)
 

@@ -17,7 +17,7 @@ Endpoints::
     GET  /v1/jobs/<id>/events     chunked NDJSON progress stream
     GET  /v1/jobs/<id>/artifact   the job's artifact bytes
     GET  /v1/stats                scheduler / job / store counters
-    GET  /v1/version              version tags + kernel/backend registry
+    GET  /v1/version              version tags + simulation kernels
 
 The events stream uses chunked transfer-encoding and follows the job
 live: every event already logged is replayed first, then new ones are

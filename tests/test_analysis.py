@@ -1,5 +1,5 @@
 """Framework-level tests for ``repro.analysis``: suppression handling,
-result caching, baselines, and the CLI contract."""
+report determinism, baselines, and the CLI contract."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AnalysisCache, run_analysis
+from repro.analysis import run_analysis
 from repro.analysis.__main__ import main
 from repro.analysis.engine import load_baseline, write_baseline
-from repro.analysis.rules.determinism import DeterminismRule
 
 BAD_CLOCK = "# repro-fixture-module: repro.core.clocky\nimport time\n\n\ndef now():\n    return time.time()\n"
 
@@ -109,71 +108,15 @@ class TestParseErrors:
         assert report.exit_code == 1
 
 
-class TestCache:
-    def test_warm_rerun_reanalyzes_nothing_and_report_is_byte_identical(
-        self, tmp_path
-    ):
+class TestReport:
+    def test_rerun_report_is_byte_identical(self, tmp_path):
         tree = tmp_path / "tree"
         tree.mkdir()
         _write(tree, "mod.py", BAD_CLOCK)
-        cache = AnalysisCache(tmp_path / "cache")
-        cold = run_analysis([tree], base=tree, cache=cache)
-        assert cold.files_reanalyzed == 1
-        warm = run_analysis([tree], base=tree, cache=AnalysisCache(tmp_path / "cache"))
-        assert warm.files_reanalyzed == 0
-        assert warm.to_json().encode() == cold.to_json().encode()
-        assert [f.rule for f in warm.findings] == ["determinism"]
-
-    def test_edited_file_is_reanalyzed(self, tmp_path):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        _write(tree, "a.py", BAD_CLOCK)
-        _write(tree, "b.py", BAD_CLOCK.replace("clocky", "clocky2"))
-        cache_dir = tmp_path / "cache"
-        rules = [DeterminismRule()]  # per-file material: edits stay local
-        run_analysis([tree], base=tree, cache=AnalysisCache(cache_dir), rules=rules)
-        _write(tree, "b.py", BAD_CLOCK.replace("clocky", "clocky3"))
-        after = run_analysis(
-            [tree], base=tree, cache=AnalysisCache(cache_dir), rules=rules
-        )
-        assert after.files_reanalyzed == 1
-
-    def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        _write(tree, "mod.py", BAD_CLOCK)
-        cache_dir = tmp_path / "cache"
-        run_analysis([tree], base=tree, cache=AnalysisCache(cache_dir))
-        for entry in cache_dir.rglob("*.json"):
-            entry.write_text("{not json")
-        report = run_analysis([tree], base=tree, cache=AnalysisCache(cache_dir))
-        assert report.files_reanalyzed == 1
-        assert [f.rule for f in report.findings] == ["determinism"]
-
-    def test_suppressions_apply_even_on_cache_hits(self, tmp_path):
-        # Raw findings are cached; allows are re-read from current source.
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        mod = _write(tree, "mod.py", BAD_CLOCK)
-        cache_dir = tmp_path / "cache"
-        cold = run_analysis([tree], base=tree, cache=AnalysisCache(cache_dir))
-        assert len(cold.findings) == 1
-        # Cache entries are keyed on file bytes, so the edited file
-        # re-analyzes — but the *unchanged* sibling's cached verdict must
-        # still flow through suppression handling.
-        sibling = _write(tree, "sib.py", BAD_CLOCK.replace("clocky", "clock2"))
-        mid = run_analysis([tree], base=tree, cache=AnalysisCache(cache_dir))
-        assert len(mid.findings) == 2
-        sibling.write_text(
-            sibling.read_text().replace(
-                "    return time.time()",
-                "    return time.time()  # repro: allow[determinism]",
-            )
-        )
-        final = run_analysis([tree], base=tree, cache=AnalysisCache(cache_dir))
-        assert mod.name in {Path(f.path).name for f in final.findings}
-        assert len(final.findings) == 1
-        assert len(final.suppressed) == 1
+        first = run_analysis([tree], base=tree)
+        second = run_analysis([tree], base=tree)
+        assert second.to_json().encode() == first.to_json().encode()
+        assert [f.rule for f in second.findings] == ["determinism"]
 
 
 class TestBaseline:
@@ -206,14 +149,25 @@ class TestCli:
             assert rule_id in out
 
     def test_unknown_rule_is_usage_error(self, tmp_path, capsys):
-        assert main([str(tmp_path), "--rules", "bogus", "--no-cache"]) == 2
+        assert main([str(tmp_path), "--rules", "bogus"]) == 2
         assert "unknown rule id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", (["--no-cache"], ["--cache-dir", "cache"]), ids=("no-cache", "cache-dir")
+    )
+    def test_removed_cache_flags_are_usage_errors(self, tmp_path, capsys, flags):
+        # CI requires each known-bad fixture to exit exactly 1; a stale
+        # flag must exit 2 rather than pass as a finding.
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(tmp_path), *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_clean_and_dirty_exit_codes_and_json_report(self, tmp_path, capsys):
         clean = tmp_path / "clean"
         clean.mkdir()
         _write(clean, "ok.py", "# repro-fixture-module: repro.core.ok\nX = 1\n")
-        assert main([str(clean), "--no-cache"]) == 0
+        assert main([str(clean)]) == 0
         capsys.readouterr()
 
         dirty = tmp_path / "dirty"
@@ -221,7 +175,7 @@ class TestCli:
         _write(dirty, "mod.py", BAD_CLOCK)
         out_path = tmp_path / "report.json"
         assert (
-            main([str(dirty), "--no-cache", "--out", str(out_path), "--format", "json"])
+            main([str(dirty), "--out", str(out_path), "--format", "json"])
             == 1
         )
         stdout = capsys.readouterr().out
@@ -235,19 +189,9 @@ class TestCli:
         dirty.mkdir()
         _write(dirty, "mod.py", BAD_CLOCK)
         baseline = tmp_path / "baseline.json"
-        assert main([str(dirty), "--no-cache", "--write-baseline", str(baseline)]) == 0
+        assert main([str(dirty), "--write-baseline", str(baseline)]) == 0
         capsys.readouterr()
-        assert main([str(dirty), "--no-cache", "--baseline", str(baseline)]) == 0
-
-    def test_cache_dir_flag_warm_rerun(self, tmp_path, capsys):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        _write(tree, "ok.py", "# repro-fixture-module: repro.core.ok\nX = 1\n")
-        cache_dir = tmp_path / "cache"
-        assert main([str(tree), "--cache-dir", str(cache_dir)]) == 0
-        capsys.readouterr()
-        assert main([str(tree), "--cache-dir", str(cache_dir)]) == 0
-        assert " 0 re-analyzed" in capsys.readouterr().out
+        assert main([str(dirty), "--baseline", str(baseline)]) == 0
 
 
 class TestFixtureModulePragma:

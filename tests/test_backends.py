@@ -1,68 +1,52 @@
-"""Backend-contract tests: registry, codegen cache, SoA adapters.
+"""Tests of the ``specialized`` kernel's machinery.
 
-Bit identity of the backends against the naive reference lives in
+Bit identity of ``specialized`` against the naive reference lives in
 ``tests/test_kernel_equivalence.py``; this module covers the machinery
-around them — the backend registry and its error shape, the
-content-addressed generated-kernel cache (warm loads perform zero
-codegen, damaged files read as misses, stale ``*.tmp`` files are swept,
-a changed generator digest orphans old entries), hermetic-by-default
-disk gating, and the vector scoreboard's snapshot adapters.
+around it — kernel dispatch and its error shape, the kernel spec, and
+the in-process memo of compiled kernels (a memo hit performs zero
+codegen, and nothing is written to disk).
 """
-
-import os
-import time
 
 import pytest
 
-from repro.backends import BACKENDS, get_backend
 from repro.backends import codegen, kernel_cache
-from repro.common.config import (
-    KERNEL_SPECIALIZED,
-    KERNEL_VECTORIZED,
-    VALID_KERNELS,
-    default_config,
-)
-from repro.common.errors import SimulationError
-from repro.core.scoreboard import Scoreboard
+from repro.common.config import KERNEL_SPECIALIZED, VALID_KERNELS, default_config
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.experiments import IF_DISTR, IQ_64_64
 from repro.experiments.runner import RunScale, simulate_pair
-
 
 SCALE = RunScale(num_instructions=800, warmup_instructions=400, seed=5)
 
 
-@pytest.fixture
-def kernel_cache_dir(tmp_path, monkeypatch):
-    """A fresh kernel-cache root with a clean in-process memo."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    kernel_cache.clear_memo()
-    yield tmp_path
-    kernel_cache.clear_memo()
+def _gzip_processor():
+    from repro.core.processor import Processor
+    from repro.workloads.generator import generate_trace
+    from repro.workloads.suites import get_profile
+
+    trace = generate_trace(get_profile("gzip"), 600, seed=2)
+    return Processor(default_config(IQ_64_64), trace)
 
 
 class TestRegistry:
-    def test_backends_cover_the_non_engine_kernels(self):
-        assert set(BACKENDS) == {KERNEL_VECTORIZED, KERNEL_SPECIALIZED}
-        assert set(BACKENDS) == set(VALID_KERNELS) - {"naive", "skip"}
-
-    def test_backend_name_matches_registry_key(self):
-        for name, backend in BACKENDS.items():
-            assert backend.name == name
-
-    def test_unknown_kernel_error_shape(self):
-        with pytest.raises(SimulationError, match="unknown simulation kernel"):
-            get_backend("warp")
-
     def test_engine_dispatch_rejects_unknown_kernel(self):
         from repro.core import engine
-        from repro.core.processor import Processor
-        from repro.workloads.generator import generate_trace
-        from repro.workloads.suites import get_profile
 
-        trace = generate_trace(get_profile("gzip"), 600, seed=2)
-        processor = Processor(default_config(IQ_64_64), trace)
         with pytest.raises(SimulationError, match="unknown simulation kernel"):
-            engine.run_kernel(processor, "warp", 600, 10_000, 200)
+            engine.run_kernel(_gzip_processor(), "warp", 600, 10_000, 200)
+
+    def test_dispatch_table_holds_exactly_the_valid_kernels(self):
+        from repro.core import engine
+
+        assert sorted(engine._KERNELS) == sorted(VALID_KERNELS)
+
+    def test_removed_vectorized_kernel_is_rejected(self):
+        from repro.core import engine
+
+        assert "vectorized" not in VALID_KERNELS
+        with pytest.raises(ConfigurationError):
+            default_config(IQ_64_64).with_kernel("vectorized").validate()
+        with pytest.raises(SimulationError, match="unknown simulation kernel"):
+            engine.run_kernel(_gzip_processor(), "vectorized", 600, 10_000, 200)
 
 
 class TestKernelSpec:
@@ -72,6 +56,19 @@ class TestKernelSpec:
         assert codegen.spec_digest(spec_a) == codegen.spec_digest(spec_b)
         other = codegen.kernel_spec(default_config(IF_DISTR))
         assert codegen.spec_digest(spec_a) != codegen.spec_digest(other)
+
+    def test_every_campaign_config_gets_its_own_spec(self):
+        # Each figure configuration must run its own generated kernel: two
+        # configurations sharing a spec would share baked-in geometry.
+        from repro.experiments.campaign import ALL_FIGURES
+        from repro.experiments.figures import required_runs
+
+        schemes = {scheme for __, scheme in required_runs(ALL_FIGURES)}
+        digests = {
+            codegen.spec_digest(codegen.kernel_spec(default_config(scheme)))
+            for scheme in schemes
+        }
+        assert len(digests) == len(schemes)
 
     def test_kernel_excluded_from_spec(self):
         # The knob selects the execution strategy; it must not fork the
@@ -83,150 +80,30 @@ class TestKernelSpec:
 
 
 class TestCodegenCache:
-    def _spec(self):
-        return codegen.kernel_spec(default_config(IQ_64_64))
-
-    def test_warm_run_performs_zero_codegen(self, kernel_cache_dir):
-        spec = self._spec()
-        kernel_cache.load_kernel_module(spec)
-        after_cold = codegen.CODEGEN_RUNS
-        # In-process memo hit: no codegen, same module object.
+    def test_warm_run_performs_zero_codegen(self):
+        spec = codegen.kernel_spec(default_config(IQ_64_64))
         first = kernel_cache.load_kernel_module(spec)
+        after_cold = codegen.CODEGEN_RUNS
         assert kernel_cache.load_kernel_module(spec) is first
         assert codegen.CODEGEN_RUNS == after_cold
-        # Simulated new process (memo dropped): served from disk, still
-        # zero codegen.
-        kernel_cache.clear_memo()
-        warm = kernel_cache.load_kernel_module(spec)
-        assert codegen.CODEGEN_RUNS == after_cold
-        assert warm is not first
-        assert callable(warm.make_kernel)
+        assert callable(first.make_kernel)
 
-    def test_cache_file_is_content_addressed_and_headed(self, kernel_cache_dir):
-        spec = self._spec()
-        kernel_cache.load_kernel_module(spec)
-        path = kernel_cache.kernel_path(spec)
-        assert path is not None and path.is_file()
-        header = path.read_text(encoding="utf-8").splitlines()[0]
-        assert header.startswith(kernel_cache.KERNEL_HEADER_PREFIX)
-
-    def test_damaged_cache_file_reads_as_miss(self, kernel_cache_dir):
-        spec = self._spec()
-        kernel_cache.load_kernel_module(spec)
-        path = kernel_cache.kernel_path(spec)
-        # Flip the body without updating the content hash: the loader
-        # must regenerate rather than execute tampered source.
-        path.write_text(
-            path.read_text(encoding="utf-8") + "\n# tampered", encoding="utf-8"
-        )
-        kernel_cache.clear_memo()
+    def test_each_spec_compiles_its_own_module_once(self, monkeypatch):
+        monkeypatch.setattr(kernel_cache, "_memo", {})
+        specs = [codegen.kernel_spec(default_config(s)) for s in (IQ_64_64, IF_DISTR)]
         before = codegen.CODEGEN_RUNS
-        module = kernel_cache.load_kernel_module(spec)
-        assert codegen.CODEGEN_RUNS == before + 1
-        assert callable(module.make_kernel)
-        # And the damaged file was healed by the rewrite.
-        kernel_cache.clear_memo()
-        kernel_cache.load_kernel_module(spec)
-        assert codegen.CODEGEN_RUNS == before + 1
+        modules = [kernel_cache.load_kernel_module(spec) for spec in specs]
+        assert codegen.CODEGEN_RUNS == before + 2
+        assert modules[0] is not modules[1]
+        for spec, module in zip(specs, modules):
+            assert codegen.spec_digest(spec)[:12] in module.__name__
+            assert kernel_cache.load_kernel_module(spec) is module
+        assert codegen.CODEGEN_RUNS == before + 2
 
-    def test_binary_garbage_reads_as_miss(self, kernel_cache_dir):
-        spec = self._spec()
-        kernel_cache.load_kernel_module(spec)
-        path = kernel_cache.kernel_path(spec)
-        path.write_bytes(b"\xff\xfe\x00garbage")
-        kernel_cache.clear_memo()
-        before = codegen.CODEGEN_RUNS
-        kernel_cache.load_kernel_module(spec)
-        assert codegen.CODEGEN_RUNS == before + 1
-
-    def test_stale_generator_digest_regenerates(self, kernel_cache_dir,
-                                                monkeypatch):
-        spec = self._spec()
-        kernel_cache.load_kernel_module(spec)
-        old_path = kernel_cache.kernel_path(spec)
-        before = codegen.CODEGEN_RUNS
-        # An edited generator produces a new digest: cached kernels from
-        # the old generator are orphaned (never served), codegen reruns.
-        monkeypatch.setattr(codegen, "generator_digest", lambda: "f" * 64)
-        kernel_cache.clear_memo()
-        kernel_cache.load_kernel_module(spec)
-        assert codegen.CODEGEN_RUNS == before + 1
-        new_path = kernel_cache.kernel_path(spec)
-        assert new_path.parent != old_path.parent
-        assert old_path.is_file() and new_path.is_file()
-
-    def test_stale_tmp_files_are_swept(self, kernel_cache_dir):
-        kernels = kernel_cache.cache_root()
-        kernels.mkdir(parents=True, exist_ok=True)
-        stale = kernels / "orphan.tmp"
-        stale.write_text("half-written kernel")
-        old = time.time() - 7200
-        os.utime(stale, (old, old))
-        fresh = kernels / "live.tmp"
-        fresh.write_text("in-flight write")
-        kernel_cache.load_kernel_module(self._spec())
-        assert not stale.exists()
-        assert fresh.exists()
-
-    def test_no_cache_dir_stays_hermetic(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    def test_specialized_run_writes_no_files(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.chdir(tmp_path)
-        kernel_cache.clear_memo()
-        try:
-            assert kernel_cache.cache_root() is None
-            assert kernel_cache.kernel_path(self._spec()) is None
-            module = kernel_cache.load_kernel_module(self._spec())
-            assert callable(module.make_kernel)
-            assert list(tmp_path.iterdir()) == []
-        finally:
-            kernel_cache.clear_memo()
-
-    def test_specialized_run_populates_the_cache(self, kernel_cache_dir):
-        stats, __ = simulate_pair(
-            "gzip", IQ_64_64, SCALE, kernel=KERNEL_SPECIALIZED
-        )
+        monkeypatch.setattr(kernel_cache, "_memo", {})  # force codegen
+        stats = simulate_pair("gzip", IQ_64_64, SCALE, kernel=KERNEL_SPECIALIZED)[0]
         assert stats.committed_instructions > 0
-        cached = list(kernel_cache.cache_root().rglob("*.py"))
-        assert len(cached) == 1
-
-
-class TestVectorScoreboard:
-    def _vector(self):
-        from repro.backends.soa import VectorScoreboard
-
-        plain = Scoreboard(8, 8, 4, 4)
-        return VectorScoreboard.from_scoreboard(plain)
-
-    def test_mirror_tracks_mutations(self):
-        vsb = self._vector()
-        vsb.mark_pending((False, 5))
-        vsb.set_ready((True, 3), 17)
-        assert vsb._vec[vsb.flat_index((True, 3))] == 17
-        assert vsb._vec[vsb.flat_index((False, 5))] == vsb._int[5]
-        assert vsb.is_ready((True, 3), 17)
-        assert not vsb.is_ready((False, 5), 10**9)
-
-    def test_export_restore_roundtrip_rebuilds_mirror(self):
-        vsb = self._vector()
-        vsb.set_ready((False, 2), 9)
-        vsb.mark_pending((True, 1))
-        state = vsb.export_state()
-        assert all(isinstance(v, int) for v in state["int"] + state["fp"])
-        other = self._vector()
-        other.restore_state(state)
-        assert other.export_state() == state
-        assert list(other._vec[: other._n_int]) == state["int"]
-        assert other._vec[other.sentinel_index] == 0
-
-    def test_install_is_idempotent(self):
-        from repro.backends.vectorized import install_vector_state
-        from repro.core.processor import Processor
-        from repro.workloads.generator import generate_trace
-        from repro.workloads.suites import get_profile
-
-        trace = generate_trace(get_profile("gzip"), 600, seed=2)
-        processor = Processor(default_config(IQ_64_64), trace)
-        install_vector_state(processor)
-        scoreboard = processor.scoreboard
-        install_vector_state(processor)
-        assert processor.scoreboard is scoreboard
+        assert list(tmp_path.iterdir()) == []

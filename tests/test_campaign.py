@@ -69,6 +69,14 @@ class TestCliFilters:
         assert "kernel [naive]" in out
         assert "0 skipped" in out
 
+    def test_kernel_flag_rejects_the_removed_vectorized_kernel(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--figures", "7", "--kernel", "vectorized",
+                  "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'vectorized'" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestListCatalog:
     def test_list_prints_catalog_and_exits_cleanly(self, capsys):
@@ -113,7 +121,6 @@ class TestListCatalog:
 
 class TestVersionTag:
     def test_version_tag_prints_registry_json(self, capsys):
-        from repro.backends import BACKENDS
         from repro.common.config import VALID_KERNELS
         from repro.experiments.store import SIMULATOR_VERSION_TAG
 
@@ -121,7 +128,7 @@ class TestVersionTag:
         payload = json.loads(capsys.readouterr().out)
         assert payload["simulator_version_tag"] == SIMULATOR_VERSION_TAG
         assert payload["kernels"] == list(VALID_KERNELS)
-        assert sorted(payload["backends"]) == sorted(BACKENDS)
+        assert "backends" not in payload
         assert payload["sampling_version_tag"].startswith("abella04-sampling")
 
     def test_version_tag_simulates_nothing(self, capsys, tmp_path, monkeypatch):

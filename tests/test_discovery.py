@@ -166,7 +166,7 @@ class TestEstimateRecordChecks:
     @pytest.fixture(scope="class")
     def sampled(self):
         plan = plan_for(self.SCALE)
-        record, __ = simulate_sampled_pair("mcf", IQ_64_64, self.SCALE, plan)
+        record = simulate_sampled_pair("mcf", IQ_64_64, self.SCALE, plan)[0]
         return record
 
     def test_real_record_passes(self, sampled):

@@ -126,12 +126,10 @@ class TestSerialPath:
 class TestKernelPaths:
     """Every simulation kernel must land exactly on the pinned goldens."""
 
-    @pytest.mark.parametrize(
-        "kernel", ("naive", "skip", "vectorized", "specialized")
-    )
+    @pytest.mark.parametrize("kernel", ("naive", "skip", "specialized"))
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_kernel_matches_golden(self, name, kernel):
-        stats, __ = simulate_pair(BENCHMARK, SCHEMES[name], SCALE, kernel=kernel)
+        stats = simulate_pair(BENCHMARK, SCHEMES[name], SCALE, kernel=kernel)[0]
         check_golden(name, stats)
 
 

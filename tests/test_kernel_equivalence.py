@@ -2,11 +2,12 @@
 
 Each kernel's contract is *bit-identical statistics* with the naive
 per-cycle loop on every input — the skipping kernel accounts skipped
-spans in closed form, the ``vectorized`` backend re-hosts hot state as
-numpy arrays, and the ``specialized`` backend runs a per-configuration
-generated kernel; none may change a single reported number. These tests
+spans in closed form and the ``specialized`` kernel runs a
+per-configuration generated kernel; none may change a single reported
+number. These tests
 drive all of them over a randomized matrix of (benchmark, scale, seed)
-x all four issue schemes (stress profiles included) and require
+x all four issue schemes (stress profiles included), and over every
+scheme configuration the paper's figures simulate, and require
 field-for-field equality of ``SimulationStats`` (events included), plus
 sanity checks on kernel telemetry, drain-span and sampled-slice
 behaviour, and the cache-key neutrality of the kernel knob.
@@ -20,7 +21,6 @@ from repro.common.config import (
     KERNEL_NAIVE,
     KERNEL_SKIP,
     KERNEL_SPECIALIZED,
-    KERNEL_VECTORIZED,
     VALID_KERNELS,
     IssueSchemeConfig,
     default_config,
@@ -28,6 +28,8 @@ from repro.common.config import (
 from repro.common.errors import ConfigurationError
 from repro.core.processor import Processor
 from repro.experiments import IF_DISTR, IQ_64_64, MB_DISTR
+from repro.experiments.campaign import ALL_FIGURES
+from repro.experiments.figures import required_runs
 from repro.experiments.runner import (
     RunScale,
     simulate_pair,
@@ -39,7 +41,7 @@ from repro.workloads.prewarm import prewarm
 from repro.workloads.suites import STRESS_BENCHMARKS, get_profile
 
 #: Every kernel that must be differenced against the naive reference.
-NON_NAIVE_KERNELS = (KERNEL_SKIP, KERNEL_VECTORIZED, KERNEL_SPECIALIZED)
+NON_NAIVE_KERNELS = (KERNEL_SKIP, KERNEL_SPECIALIZED)
 
 LATFIFO_8x8_8x16 = IssueSchemeConfig(
     kind="latfifo", int_queues=8, int_queue_entries=8,
@@ -72,17 +74,18 @@ def _run(benchmark: str, num_instructions: int, seed: int,
     return stats, processor
 
 
-#: Naive reference results, memoized per matrix point: three kernels
-#: difference against the same reference, so running it three times
-#: would triple the slowest third of the suite for no extra coverage.
+#: Naive reference results, memoized per matrix point: both non-naive
+#: kernels difference against the same reference, so running it per
+#: kernel would double the slowest part of the suite for no extra
+#: coverage.
 _NAIVE_MEMO = {}
 
 
-def _naive_dict(benchmark, num_instructions, seed, scheme_name):
-    key = (benchmark, num_instructions, seed, scheme_name)
+def _naive_dict(benchmark, num_instructions, seed, scheme):
+    key = (benchmark, num_instructions, seed, scheme)
     if key not in _NAIVE_MEMO:
-        stats, __ = _run(benchmark, num_instructions, seed,
-                         ALL_SCHEMES[scheme_name], KERNEL_NAIVE)
+        stats, __ = _run(benchmark, num_instructions, seed, scheme,
+                         KERNEL_NAIVE)
         _NAIVE_MEMO[key] = stats.to_dict()
     return _NAIVE_MEMO[key]
 
@@ -95,7 +98,7 @@ class TestKernelEquivalence:
                                  seed):
         scheme = ALL_SCHEMES[scheme_name]
         candidate, __ = _run(bench, length, seed, scheme, kernel)
-        assert _naive_dict(bench, length, seed, scheme_name) == (
+        assert _naive_dict(bench, length, seed, scheme) == (
             candidate.to_dict()
         )
 
@@ -128,7 +131,7 @@ class TestStressProfileKernelEquivalence:
                                  seed):
         scheme = ALL_SCHEMES[scheme_name]
         candidate, __ = _run(bench, length, seed, scheme, kernel)
-        assert _naive_dict(bench, length, seed, scheme_name) == (
+        assert _naive_dict(bench, length, seed, scheme) == (
             candidate.to_dict()
         )
 
@@ -140,6 +143,49 @@ class TestStressProfileKernelEquivalence:
         assert telemetry.skipped_cycles > 0
         assert telemetry.total_cycles == (
             telemetry.executed_cycles + telemetry.skipped_cycles
+        )
+
+
+# Every distinct scheme configuration the paper's figures simulate (the
+# 28 behind the campaign's 428 pairs), each paired with one benchmark it
+# runs under. The specialized kernel bakes each configuration's geometry
+# into its own generated module, so the four-scheme matrices above leave
+# most of the campaign's generated kernels undifferenced.
+def _campaign_matrix():
+    from repro.common.config import scheme_name
+
+    benchmarks_by_scheme = {}
+    for benchmark, scheme in required_runs(ALL_FIGURES):
+        benchmarks_by_scheme.setdefault(scheme, []).append(benchmark)
+    return [
+        pytest.param(
+            scheme,
+            benchmarks[index % len(benchmarks)],
+            _RNG.randrange(1, 1000),
+            id=scheme_name(scheme),
+        )
+        for index, (scheme, benchmarks) in enumerate(benchmarks_by_scheme.items())
+    ]
+
+
+CAMPAIGN_MATRIX = _campaign_matrix()
+
+
+class TestCampaignConfigKernelEquivalence:
+    LENGTH = 900
+
+    def test_matrix_covers_every_campaign_config(self):
+        campaign_schemes = {scheme for __, scheme in required_runs(ALL_FIGURES)}
+        matrix_schemes = [param.values[0] for param in CAMPAIGN_MATRIX]
+        assert len(matrix_schemes) == len(campaign_schemes) == 28
+        assert set(matrix_schemes) == campaign_schemes
+
+    @pytest.mark.parametrize("kernel", NON_NAIVE_KERNELS)
+    @pytest.mark.parametrize("scheme,bench,seed", CAMPAIGN_MATRIX)
+    def test_bit_identical_stats(self, kernel, scheme, bench, seed):
+        candidate, __ = _run(bench, self.LENGTH, seed, scheme, kernel)
+        assert _naive_dict(bench, self.LENGTH, seed, scheme) == (
+            candidate.to_dict()
         )
 
 
@@ -202,11 +248,11 @@ class TestBroadcastDrainSpans:
         __, processor = _run("mcf", 2000, 11, IQ_64_64, KERNEL_NAIVE)
         assert processor.kernel_telemetry.drained_broadcasts == 0
 
-    @pytest.mark.parametrize("kernel", (KERNEL_VECTORIZED, KERNEL_SPECIALIZED))
+    @pytest.mark.parametrize("kernel", (KERNEL_SPECIALIZED,))
     @pytest.mark.parametrize("scheme_name", sorted(ALL_SCHEMES))
     def test_backend_drain_spans_match_skip(self, kernel, scheme_name):
-        # The backends host the same event-driven driver, so on the
-        # repo's best skipping case their span decisions — executed,
+        # The generated kernel clones the event-driven loop, so on the
+        # repo's best skipping case its span decisions — executed,
         # skipped, span count AND closed-form drained broadcasts — must
         # be cycle-for-cycle the ones the skip kernel makes.
         scheme = ALL_SCHEMES[scheme_name]
@@ -303,7 +349,7 @@ class TestKernelTelemetry:
 
 class TestSampledSliceKernelEquivalence:
     """Sampled execution drives its detailed slices through the kernel
-    knob too; every backend must produce the identical estimate."""
+    knob too; every kernel must produce the identical estimate."""
 
     PLAN = SamplingPlan(num_slices=3, slice_instructions=150,
                         warmup_instructions=100)
@@ -311,12 +357,12 @@ class TestSampledSliceKernelEquivalence:
 
     @pytest.mark.parametrize("kernel", NON_NAIVE_KERNELS)
     def test_sampled_estimates_bit_identical(self, kernel):
-        reference, __ = simulate_sampled_pair(
+        reference = simulate_sampled_pair(
             "art", IF_DISTR, self.SCALE, self.PLAN, kernel=KERNEL_NAIVE
-        )
-        candidate, __ = simulate_sampled_pair(
+        )[0]
+        candidate = simulate_sampled_pair(
             "art", IF_DISTR, self.SCALE, self.PLAN, kernel=kernel
-        )
+        )[0]
         assert reference.stats.to_dict() == candidate.stats.to_dict()
         # The estimate record is identical too, except detailed_cycles —
         # that field is wall-work telemetry (cycles actually executed in
@@ -353,6 +399,6 @@ class TestKernelKnob:
     @pytest.mark.parametrize("kernel", NON_NAIVE_KERNELS)
     def test_simulate_pair_kernel_override_is_bit_identical(self, kernel):
         scale = RunScale(num_instructions=1200, warmup_instructions=600, seed=9)
-        naive, __ = simulate_pair("gzip", IF_DISTR, scale, kernel=KERNEL_NAIVE)
-        other, __ = simulate_pair("gzip", IF_DISTR, scale, kernel=kernel)
+        naive = simulate_pair("gzip", IF_DISTR, scale, kernel=KERNEL_NAIVE)[0]
+        other = simulate_pair("gzip", IF_DISTR, scale, kernel=kernel)[0]
         assert naive.to_dict() == other.to_dict()

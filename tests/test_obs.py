@@ -12,6 +12,10 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
+import subprocess
+import sys
+import threading
 
 import pytest
 
@@ -168,6 +172,203 @@ class TestWorkerMerge:
         serial_series = _kernel_series(serial_registry)
         assert serial_series  # the run did feed kernel metrics
         assert serial_series == _kernel_series(pool_registry)
+
+    def test_pool_under_a_sigterm_handling_loop_finishes_silently(self):
+        # repro.serve runs pool batches from an executor thread of a loop
+        # that handles SIGTERM. Forked workers must neither survive the
+        # pool's SIGTERM (the batch would hang) nor deliver it to that
+        # loop's handler (the server would stop). A subprocess keeps a
+        # hang from blocking the rest of the test run.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        probe = subprocess.Popen(
+            [sys.executable, "-c", _SIGTERM_PROBE],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,
+        )
+        try:
+            out, err = probe.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(probe.pid, signal.SIGKILL)
+            probe.communicate()
+            pytest.fail("simulate_matrix hung under a loop's SIGTERM handler")
+        assert probe.returncode == 0, err
+        assert out.split() == ["handler", "calls:", "0"]
+
+
+#: Four two-worker batches, each started from an executor thread of a
+#: loop that handles SIGTERM, as ``ServeApp.serve_forever`` sets it up.
+_SIGTERM_PROBE = """
+import asyncio
+import signal
+
+from repro.experiments import IF_DISTR, IQ_64_64
+from repro.experiments.parallel import simulate_matrix
+from repro.experiments.runner import RunScale
+
+PAIRS = [("gzip", IQ_64_64), ("gzip", IF_DISTR)]
+SCALE = RunScale(num_instructions=600, warmup_instructions=300, seed=7)
+
+
+async def main():
+    loop = asyncio.get_running_loop()
+    calls = []
+    loop.add_signal_handler(signal.SIGTERM, calls.append, signal.SIGTERM)
+    for _ in range(4):
+        await loop.run_in_executor(None, simulate_matrix, PAIRS, SCALE, 2)
+    await asyncio.sleep(0.2)  # let a stray wakeup byte reach the handler
+    print("handler calls:", len(calls))
+
+
+asyncio.run(main())
+"""
+
+
+class TestConcurrentAttribution:
+    def test_overlapping_runs_record_only_their_own_cycles(self, monkeypatch):
+        # Two runs in two threads, as serve's batch executor runs them;
+        # the barrier holds each run's return until both have finished.
+        from repro.core.engine import KernelTelemetry
+        from repro.core.processor import Processor
+        from repro.experiments import IF_DISTR, IQ_64_64
+        from repro.experiments.runner import ExperimentRunner, RunScale
+
+        barrier = threading.Barrier(2, timeout=60)
+        processors = []
+        original_run = Processor.run
+
+        def run_then_wait(self, *args, **kwargs):
+            stats = original_run(self, *args, **kwargs)
+            processors.append(self)
+            barrier.wait()
+            return stats
+
+        monkeypatch.setattr(Processor, "run", run_then_wait)
+        scale = RunScale(num_instructions=1200, warmup_instructions=600, seed=7)
+        errors = []
+
+        def resolve(scheme):
+            try:
+                ExperimentRunner(scale, store=False).run("gzip", scheme)
+            except BaseException as exc:  # reported below
+                errors.append(exc)
+                barrier.abort()
+
+        threads = [
+            threading.Thread(target=resolve, args=(scheme,))
+            for scheme in (IQ_64_64, IF_DISTR)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(processors) == 2
+
+        total = KernelTelemetry()
+        expected = MetricsRegistry()
+        measured = obs.set_registry(expected)
+        try:
+            for processor in processors:
+                total.merge(processor.kernel_telemetry)
+                obs.record_kernel_delta(
+                    processor.config.kernel, processor.kernel_telemetry.as_dict()
+                )
+        finally:
+            obs.set_registry(measured)
+        assert obs.kernel_totals() == total.as_dict()
+        # Counters and per-run histograms alike: one observation per run,
+        # each equal to that run's own cycles.
+        assert _kernel_series(measured) == _kernel_series(expected)
+
+
+class TestExecutePair:
+    """``runner.execute_pair``, the one execution path of the serial
+    runner and of every pool worker, records exactly its own run."""
+
+    @staticmethod
+    def _scale():
+        from repro.experiments.runner import RunScale
+
+        return RunScale(num_instructions=1200, warmup_instructions=600, seed=7)
+
+    @staticmethod
+    def _expected_series(kernel, telemetry):
+        expected = MetricsRegistry()
+        measured = obs.set_registry(expected)
+        try:
+            obs.record_kernel_delta(kernel, telemetry.as_dict())
+        finally:
+            obs.set_registry(measured)
+        return _kernel_series(expected)
+
+    @pytest.mark.parametrize("kernel", ("naive", "skip", "specialized"))
+    def test_full_run_records_its_own_telemetry(self, kernel):
+        from repro.experiments import IF_DISTR
+        from repro.experiments.runner import execute_pair, simulate_pair
+
+        stats, trace, sampled = execute_pair(
+            "gzip", IF_DISTR, self._scale(), kernel=kernel
+        )
+        assert sampled is None
+        # simulate_pair records nothing, so the registry still holds only
+        # the execute_pair run.
+        reference, __, telemetry = simulate_pair(
+            "gzip", IF_DISTR, self._scale(), trace=trace, kernel=kernel
+        )
+        assert stats.to_dict() == reference.to_dict()
+        assert obs.kernel_totals() == telemetry.as_dict()
+        assert _kernel_series(obs.get_registry()) == (
+            self._expected_series(kernel, telemetry)
+        )
+
+    def test_sampled_run_records_detailed_telemetry_and_split(self):
+        from repro.experiments import IF_DISTR
+        from repro.experiments.runner import execute_pair, simulate_sampled_pair
+        from repro.sampling import SamplingPlan
+
+        plan = SamplingPlan(num_slices=3, slice_instructions=150,
+                            warmup_instructions=100)
+        scale = self._scale()
+        stats, trace, sampled = execute_pair(
+            "gzip", IF_DISTR, scale, kernel="skip", sampling=plan
+        )
+        assert stats.to_dict() == sampled.stats.to_dict()
+        reference, __, telemetry = simulate_sampled_pair(
+            "gzip", IF_DISTR, scale, plan, trace=trace, kernel="skip"
+        )
+        assert sampled.to_dict() == reference.to_dict()
+        assert obs.kernel_totals() == telemetry.as_dict()
+        assert telemetry.executed_cycles == sampled.detailed_cycles
+        detailed = obs.counter("repro_sampling_detailed_instructions_total").value
+        ffwd = obs.counter("repro_sampling_ffwd_instructions_total").value
+        assert detailed == sampled.detailed_instructions > 0
+        assert detailed + ffwd == scale.num_instructions
+
+    def test_pool_job_ships_stats_and_its_registry_delta(self, monkeypatch):
+        from repro.experiments import IF_DISTR, parallel
+        from repro.experiments.runner import simulate_pair
+
+        monkeypatch.setattr(parallel, "_WORKER_TRACES", {})
+        obs.counter("repro_unrelated_total").inc()  # before the job: not shipped
+        payload = parallel._run_job(
+            ("gzip", IF_DISTR, self._scale(), "skip", None, None, None)
+        )
+        assert set(payload) == {"stats", "metrics"}
+        reference, __, telemetry = simulate_pair(
+            "gzip", IF_DISTR, self._scale(), kernel="skip"
+        )
+        assert payload["stats"] == reference.to_dict()
+        shipped = MetricsRegistry()
+        shipped.merge_delta(payload["metrics"])
+        assert _kernel_series(shipped) == self._expected_series("skip", telemetry)
+        assert all(
+            "repro_unrelated_total" not in key for key in payload["metrics"]["counters"]
+        )
 
 
 class TestTracer:

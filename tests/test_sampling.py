@@ -13,7 +13,6 @@ import pytest
 
 from repro.common.config import default_config
 from repro.common.errors import ConfigurationError
-from repro.core import engine
 from repro.experiments.configs import IF_DISTR, IQ_64_64
 from repro.experiments.runner import (
     ExperimentRunner,
@@ -135,7 +134,7 @@ class TestEstimator:
         assert estimate.relative_halfwidth == pytest.approx(0.1)
 
     def test_estimates_and_synthetic_stats_are_coherent(self):
-        sampled, __ = simulate_sampled_pair(BENCH, IQ_64_64, SCALE, PLAN)
+        sampled = simulate_sampled_pair(BENCH, IQ_64_64, SCALE, PLAN)[0]
         region = SCALE.num_instructions - SCALE.warmup_instructions
         assert sampled.total_instructions == region
         assert sampled.stats.committed_instructions == region
@@ -152,7 +151,7 @@ class TestEstimator:
         assert 0 < sampled.detailed_cycles
 
     def test_json_roundtrip_is_lossless(self):
-        sampled, __ = simulate_sampled_pair(BENCH, IQ_64_64, SCALE, PLAN)
+        sampled = simulate_sampled_pair(BENCH, IQ_64_64, SCALE, PLAN)[0]
         payload = json.loads(json.dumps(sampled.to_dict()))
         rebuilt = SampledStats.from_dict(payload, sampled.stats)
         assert rebuilt.to_dict() == sampled.to_dict()
@@ -169,7 +168,7 @@ class TestEstimator:
         # unsupported confidence has no t-table — both must surface as
         # ConfigurationError here, never as IndexError/ZeroDivisionError
         # inside the SEM arithmetic.
-        sampled, __ = simulate_sampled_pair(BENCH, IQ_64_64, SCALE, PLAN)
+        sampled = simulate_sampled_pair(BENCH, IQ_64_64, SCALE, PLAN)[0]
         windows, slices = sampled.windows[:1], [sampled.stats]
         single_slice = SamplingPlan(num_slices=1, slice_instructions=200,
                                     warmup_instructions=150)
@@ -337,12 +336,9 @@ class TestRunnerSampling:
         assert full_runner.sampled_result(BENCH, IQ_64_64) is None
 
     def test_sampled_mode_executes_fewer_detailed_cycles(self):
-        engine.GLOBAL_TELEMETRY.reset()
-        simulate_pair(BENCH, IQ_64_64, SCALE)
-        full_cycles = engine.GLOBAL_TELEMETRY.executed_cycles
-        engine.GLOBAL_TELEMETRY.reset()
-        sampled, __ = simulate_sampled_pair(BENCH, IQ_64_64, SCALE, PLAN)
-        assert sampled.detailed_cycles == engine.GLOBAL_TELEMETRY.executed_cycles
+        full_cycles = simulate_pair(BENCH, IQ_64_64, SCALE)[2].executed_cycles
+        sampled, __, detailed = simulate_sampled_pair(BENCH, IQ_64_64, SCALE, PLAN)
+        assert sampled.detailed_cycles == detailed.executed_cycles
         assert 0 < sampled.detailed_cycles < full_cycles
 
     def test_checkpoints_populated_through_runner(self, tmp_path):

@@ -24,7 +24,6 @@ expensive test module in tier 1; results are computed once per session.
 import pytest
 
 from repro.common.config import default_config
-from repro.core import engine
 from repro.energy.model import EnergyModel
 from repro.experiments.configs import IQ_64_64
 from repro.experiments.runner import RunScale, simulate_pair, simulate_sampled_pair
@@ -56,12 +55,11 @@ _CACHE = {}
 def _measure(bench):
     """(full ipc, full epi, full executed cycles, SampledStats) — memoized."""
     if bench not in _CACHE:
-        engine.GLOBAL_TELEMETRY.reset()
-        full_stats, trace = simulate_pair(bench, IQ_64_64, SCALE)
-        full_cycles = engine.GLOBAL_TELEMETRY.executed_cycles
-        sampled, __ = simulate_sampled_pair(
+        full_stats, trace, full_telemetry = simulate_pair(bench, IQ_64_64, SCALE)
+        full_cycles = full_telemetry.executed_cycles
+        sampled = simulate_sampled_pair(
             bench, IQ_64_64, SCALE, PLAN, trace=trace
-        )
+        )[0]
         full_epi = (
             _MODEL.energy_pj(full_stats.events.as_dict())
             / full_stats.committed_instructions

@@ -398,7 +398,7 @@ class TestHttpService:
         assert json.loads(served) == json.loads(printed)
         payload = json.loads(served)
         assert set(payload) == {"simulator_version_tag",
-                                "sampling_version_tag", "kernels", "backends"}
+                                "sampling_version_tag", "kernels"}
 
     def test_bad_requests_get_400s_not_crashes(self, tmp_path):
         async def body():
@@ -527,11 +527,40 @@ class TestParallelDrain:
         from repro.experiments.parallel import _init_worker
 
         previous = signal.getsignal(signal.SIGINT)
+        previous_term = signal.getsignal(signal.SIGTERM)
         try:
             _init_worker()
             assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
         finally:
             signal.signal(signal.SIGINT, previous)
+            signal.signal(signal.SIGTERM, previous_term)
+
+    def test_workers_drop_an_inherited_sigterm_handler_and_wakeup_fd(self):
+        # A worker forked from the server inherits its loop's SIGTERM
+        # handler and wakeup fd; Pool.terminate's SIGTERM must kill the
+        # worker rather than reach that handler.
+        import signal
+        import socket
+
+        from repro.experiments.parallel import _init_worker
+
+        previous = {
+            sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)
+        }
+        reader, writer = socket.socketpair()
+        writer.setblocking(False)
+        signal.signal(signal.SIGTERM, lambda *args: None)
+        previous_fd = signal.set_wakeup_fd(writer.fileno())
+        try:
+            _init_worker()
+            assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            assert signal.set_wakeup_fd(-1) == -1
+        finally:
+            signal.set_wakeup_fd(previous_fd)
+            for sig, handler in previous.items():
+                signal.signal(sig, handler)
+            reader.close()
+            writer.close()
 
 
 class TestJobValidation:
