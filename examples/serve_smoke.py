@@ -69,11 +69,10 @@ async def _run_phase(args):
     phase = "warm" if args.warm else "cold"
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    store = ResultStore(args.cache_dir, shards=args.shards)
+    store = ResultStore(args.cache_dir)
     app = ServeApp(store, workers=args.workers, batch_interval=0.05)
     port = await app.start("127.0.0.1", 0)
-    print(f"serve-smoke[{phase}]: server on port {port}, "
-          f"store {store.root} ({store.shards} shards)")
+    print(f"serve-smoke[{phase}]: server on port {port}, store {store.root}")
     try:
         sim_spec = {
             "type": "simulation", "benchmark": "gzip", "scheme": "IQ_64_64",
@@ -129,8 +128,7 @@ async def _run_phase(args):
               f"{sched['coalesced']} coalesced, {sched['hits']} store hits; "
               f"queue depth {sched['queue_depth']}, "
               f"{sched['in_flight_batches']} batch(es) in flight; "
-              f"store holds {stats['store']['results']} results in "
-              f"{stats['store']['shards']} shards")
+              f"store holds {stats['store']['results']} results")
 
         # Observability surfaces: Prometheus scrape + HTML status page.
         status, metrics = await _request(port, "GET", "/metrics")
@@ -164,7 +162,6 @@ def main(argv=None):
                         help="where downloaded artifacts land")
     parser.add_argument("--scale", type=int, default=2000)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--warm", action="store_true",
                         help="replay phase: require 0 simulations")

@@ -2,12 +2,12 @@
 
 Command line::
 
-    python -m repro.experiments.campaign [--scale N] [--figures 2,3,8]
-        [--schemes IQ_64_64,IF_distr] [--workers N]
+    python -m repro.experiments.campaign [--scale N] [--seed S]
+        [--figures 2,3,8] [--schemes IQ_64_64,IF_distr] [--workers N]
         [--benchmarks int|fp|all]
         [--kernel naive|skip|specialized]
-        [--sampling [SPEC]] [--sampling-validate] [--list]
-        [--cache-dir DIR] [--no-cache] [--profile [FILE]]
+        [--sampling [SPEC]] [--sampling-validate] [--list] [--version-tag]
+        [--cache-dir DIR] [--no-cache]
         [--output json|csv] [--output-path FILE] [--trace-out DIR]
 
 This is the batch entry point behind the per-figure benchmarks: it
@@ -33,10 +33,8 @@ runs a per-configuration generated kernel (:mod:`repro.backends`).
 Results are bit-identical across all three; the campaign footer reports
 how many cycles were actually executed vs. skipped.
 
-``--profile [FILE]`` wraps the whole run in :mod:`cProfile`: the raw
-pstats data lands at ``FILE`` (default ``campaign.prof``) next to the
-other artifacts, and the top functions by cumulative time are printed
-after the footer.
+To profile a campaign, run it under :mod:`cProfile`:
+``python -m cProfile -o campaign.prof -m repro.experiments.campaign ...``.
 
 ``--output json|csv`` additionally exports the rendered figures' *data*
 (via the exploration subsystem's atomic artifact writers): JSON keeps
@@ -57,7 +55,9 @@ and confidence interval — exiting nonzero if any benchmark violates the
 bound, which is the CI gate for the sampling contract.
 
 ``--list`` prints the campaign's catalog — benchmarks per suite, figure
-numbers with titles, scheme names and simulation kernels — and exits.
+numbers with titles, scheme names and simulation kernels — and exits;
+``--version-tag`` prints the version tags and kernels as JSON (the
+service's ``GET /v1/version``) and exits.
 
 ``--trace-out DIR`` (or ``REPRO_TRACE=DIR``) turns on the
 :mod:`repro.obs` tracing sidecar: Chrome-``trace_event`` JSON, an NDJSON
@@ -70,9 +70,7 @@ are byte-identical with tracing on or off.
 from __future__ import annotations
 
 import argparse
-import cProfile
 import json
-import pstats
 from typing import Callable, Dict, List
 
 from repro import obs
@@ -103,9 +101,6 @@ __all__ = [
     "sampling_validation",
     "version_payload",
 ]
-
-#: How many functions the ``--profile`` cumulative-time table prints.
-_PROFILE_TOP_N = 25
 
 _SERIES_FIGURES = {2, 3, 4, 6}
 _TABLE_FIGURES = {7, 8, 12, 13, 14, 15}
@@ -341,12 +336,6 @@ def main(argv: List[str] = None) -> None:
                              "skipping (default), the naive per-cycle "
                              "loop, or the per-config generated "
                              "kernel; results are bit-identical")
-    parser.add_argument("--profile", type=str, nargs="?", const="campaign.prof",
-                        default=None, metavar="FILE",
-                        help="run the campaign under cProfile: dump pstats "
-                             "data to FILE (default campaign.prof, next to "
-                             "the other artifacts) and print the top "
-                             "functions by cumulative time")
     parser.add_argument("--sampling", type=str, nargs="?", const="",
                         default=None, metavar="SPEC",
                         help="sampled execution mode: statistics become "
@@ -403,7 +392,7 @@ def main(argv: List[str] = None) -> None:
         other = (
             "scale", "seed", "figures", "schemes", "workers", "benchmarks",
             "kernel", "sampling", "sampling_validate", "cache_dir",
-            "no_cache", "output", "output_path", "profile", "trace_out",
+            "no_cache", "output", "output_path", "trace_out",
             "list" if args.version_tag else "version_tag",
         )
         ignored = [
@@ -480,34 +469,9 @@ def main(argv: List[str] = None) -> None:
     if args.trace_out:
         obs.configure(args.trace_out)
     try:
-        if args.profile:
-            _run_profiled(args.profile, _run_selected,
-                          args, parser, scale, store, plan, numbers)
-        else:
-            _run_selected(args, parser, scale, store, plan, numbers)
+        _run_selected(args, parser, scale, store, plan, numbers)
     finally:
         obs.flush()
-
-
-def _run_profiled(path: str, func: Callable, *call_args) -> None:
-    """Run ``func`` under :mod:`cProfile`, then report.
-
-    Dumps the raw pstats data to ``path`` (loadable with ``python -m
-    pstats`` or snakeviz) and prints the top functions by cumulative
-    time. The dump happens even when the run exits nonzero — the
-    sampling-validate gate raises ``SystemExit`` — so failing runs can
-    still be profiled.
-    """
-    profiler = cProfile.Profile()
-    try:
-        profiler.runcall(func, *call_args)
-    finally:
-        profiler.dump_stats(path)
-        print(f"\nprofile: pstats dump at {path}; top {_PROFILE_TOP_N} "
-              f"functions by cumulative time:")
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(
-            _PROFILE_TOP_N
-        )
 
 
 def _run_selected(args, parser, scale, store, plan, numbers) -> None:

@@ -10,10 +10,10 @@ produce identical result sequences.
 
 Traces are shared, not regenerated: when a spill directory is available
 (see :mod:`repro.workloads.spill`) the parent materializes each unique
-trace to disk once and workers deserialize it; without one, workers fall
-back to a per-process trace cache keyed on (benchmark, length, seed).
-Traces are deterministic in those inputs, so every path yields the same
-stream.
+trace to disk once and workers deserialize it. Each worker resolves its
+traces through :func:`repro.experiments.runner.resolve_trace`, whose
+process memo keeps a loaded trace for the worker's later jobs. Traces
+are deterministic, so every path yields the same stream.
 
 Every job runs :func:`repro.experiments.runner.execute_pair`, the same
 function the serial runner calls. Results cross the process boundary as
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import multiprocessing
 import signal
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.common.config import IssueSchemeConfig, ProcessorConfig
@@ -39,10 +39,6 @@ from repro.common.stats import SimulationStats
 _SchemeOrConfig = Union[IssueSchemeConfig, ProcessorConfig]
 
 __all__ = ["simulate_matrix", "worker_count"]
-
-#: Per-worker trace cache, keyed by (benchmark, num_instructions, seed).
-#: Module-global so it survives across tasks within one worker process.
-_WORKER_TRACES: Dict[Tuple[str, int, int], object] = {}
 
 
 def worker_count(requested: int = 0) -> int:
@@ -104,20 +100,6 @@ def _drain_pool(pool, async_result, sweep_roots: Sequence[Optional[str]]):
         raise
 
 
-def _load_worker_trace(benchmark: str, scale, trace_dir: Optional[str]):
-    """Resolve a benchmark's trace: process cache → spill file → None."""
-    trace_key = (benchmark, scale.num_instructions, scale.seed)
-    trace = _WORKER_TRACES.get(trace_key)
-    if trace is None and trace_dir is not None:
-        from repro.workloads.spill import load_trace
-        from repro.workloads.suites import get_profile
-
-        trace = load_trace(
-            trace_dir, get_profile(benchmark), scale.num_instructions, scale.seed
-        )
-    return trace
-
-
 def _run_job(job: tuple) -> dict:
     """Worker entry point: :func:`execute_pair` on one job, as a payload.
 
@@ -130,18 +112,16 @@ def _run_job(job: tuple) -> dict:
     from repro.experiments.runner import execute_pair
 
     benchmark, scheme, scale, kernel, trace_dir, sampling, checkpoint_dir = job
-    trace = _load_worker_trace(benchmark, scale, trace_dir)
     metrics_before = obs.get_registry().snapshot()
-    stats, trace, sampled = execute_pair(
+    stats, sampled = execute_pair(
         benchmark,
         scheme,
         scale,
         kernel=kernel,
         sampling=sampling,
-        trace=trace,
+        trace_dir=trace_dir,
         checkpoint_dir=checkpoint_dir,
     )
-    _WORKER_TRACES[(benchmark, scale.num_instructions, scale.seed)] = trace
     payload = {
         "stats": stats.to_dict(),
         # Registry growth during this job only: the parent merges it so
@@ -184,6 +164,9 @@ def simulate_matrix(
         from repro.workloads.spill import materialize_trace
         from repro.workloads.suites import get_profile
 
+        # Only the files are kept: workers load them through
+        # resolve_trace, and the parent's memo stays free of traces it
+        # never simulates.
         for benchmark in dict.fromkeys(benchmark for benchmark, __ in pairs):
             materialize_trace(
                 trace_dir, get_profile(benchmark), scale.num_instructions, scale.seed

@@ -37,6 +37,7 @@ from repro.common.stats import SimulationStats
 from repro.core.engine import KernelTelemetry
 from repro.core.processor import Processor
 from repro.experiments.store import ResultStore, result_key
+from repro.workloads import spill
 from repro.workloads.generator import generate_trace
 from repro.workloads.prewarm import prewarm
 from repro.workloads.suites import get_profile
@@ -53,7 +54,7 @@ __all__ = [
     "simulate_pair",
     "simulate_sampled_pair",
     "execute_pair",
-    "clear_trace_memo",
+    "resolve_trace",
 ]
 
 #: Everywhere the experiments layer takes "what to simulate", it accepts
@@ -103,16 +104,27 @@ DEFAULT_SCALE = RunScale()
 _TRACE_MEMO: Dict[Tuple[str, int, int], Trace] = {}
 
 
-def clear_trace_memo() -> None:
-    """Drop memoized traces (tests that mutate profiles in place use this)."""
-    _TRACE_MEMO.clear()
+def resolve_trace(
+    benchmark: str, scale: RunScale, trace_dir: Optional[str] = None
+) -> Trace:
+    """The benchmark's trace at ``scale``: memo, spill file, or generation.
 
-
-def _memoized_trace(profile, num_instructions: int, seed: int) -> Trace:
-    key = (stable_fingerprint(profile), num_instructions, seed)
+    The one trace lookup of the experiments layer. It tries the
+    process memo first, then (when ``trace_dir`` is given) a spill file
+    that :func:`repro.workloads.spill.materialize_trace` wrote, and
+    generates the trace only when both miss. Whatever it finds is filed
+    in the memo. Every path yields the same stream.
+    """
+    profile = get_profile(benchmark)
+    key = (stable_fingerprint(profile), scale.num_instructions, scale.seed)
     trace = _TRACE_MEMO.get(key)
     if trace is None:
-        trace = generate_trace(profile, num_instructions, seed=seed)
+        if trace_dir is not None:
+            trace = spill.load_trace(
+                trace_dir, profile, scale.num_instructions, scale.seed
+            )
+        if trace is None:
+            trace = generate_trace(profile, scale.num_instructions, seed=scale.seed)
         _TRACE_MEMO[key] = trace
     return trace
 
@@ -153,7 +165,7 @@ def simulate_pair(
     """
     profile = get_profile(benchmark)
     if trace is None:
-        trace = _memoized_trace(profile, scale.num_instructions, scale.seed)
+        trace = resolve_trace(benchmark, scale)
     config = resolve_config(scheme)
     if kernel is not None:
         config = config.with_kernel(kernel)
@@ -191,7 +203,7 @@ def simulate_sampled_pair(
 
     profile = get_profile(benchmark)
     if trace is None:
-        trace = _memoized_trace(profile, scale.num_instructions, scale.seed)
+        trace = resolve_trace(benchmark, scale)
     config = resolve_config(scheme)
     if kernel is not None:
         config = config.with_kernel(kernel)
@@ -223,18 +235,20 @@ def execute_pair(
     scale: RunScale,
     kernel: Optional[str] = None,
     sampling=None,
-    trace: Optional[Trace] = None,
+    trace_dir: Optional[str] = None,
     checkpoint_dir: Optional[str] = None,
 ):
     """Simulate one uncached pair and record its telemetry.
 
     The one execution path: :class:`ExperimentRunner`'s serial path and
-    every :mod:`~repro.experiments.parallel` pool worker call it. It runs
-    :func:`simulate_pair`, or :func:`simulate_sampled_pair` when
-    ``sampling`` is a plan, and records that run's own kernel telemetry
-    into the ``repro.obs`` registry, so runs overlapping in other
-    threads never leak cycles into each other's counts. Returns
-    ``(stats, trace, sampled)``; ``sampled`` is ``None`` for full runs.
+    every :mod:`~repro.experiments.parallel` pool worker call it. It
+    takes the trace from :func:`resolve_trace` (pool workers pass the
+    spill directory), runs :func:`simulate_pair`, or
+    :func:`simulate_sampled_pair` when ``sampling`` is a plan, and
+    records that run's own kernel telemetry into the ``repro.obs``
+    registry, so runs overlapping in other threads never leak cycles
+    into each other's counts. Returns ``(stats, sampled)``; ``sampled``
+    is ``None`` for full runs.
     """
     kernel_name = kernel or resolve_config(scheme).kernel
     with obs.span(
@@ -244,13 +258,14 @@ def execute_pair(
         kernel=kernel_name,
         mode="sampled" if sampling is not None else "full",
     ):
+        trace = resolve_trace(benchmark, scale, trace_dir)
         if sampling is None:
-            stats, trace, telemetry = simulate_pair(
+            stats, __, telemetry = simulate_pair(
                 benchmark, scheme, scale, trace=trace, kernel=kernel
             )
             sampled = None
         else:
-            sampled, trace, telemetry = simulate_sampled_pair(
+            sampled, __, telemetry = simulate_sampled_pair(
                 benchmark,
                 scheme,
                 scale,
@@ -270,7 +285,7 @@ def execute_pair(
         obs.counter("repro_sampling_ffwd_instructions_total").inc(
             max(0, scale.num_instructions - detailed)
         )
-    return stats, trace, sampled
+    return stats, sampled
 
 
 class ExperimentRunner:
@@ -324,7 +339,6 @@ class ExperimentRunner:
         #: Resolution provenance of the most recent ``_lookup`` hit
         #: ("memory"/"disk") — telemetry annotation only.
         self._last_source: Optional[str] = None
-        self._trace_cache: Dict[str, Trace] = {}
         self._result_cache: Dict[Tuple[str, SchemeOrConfig], SimulationStats] = {}
         #: Estimate records of sampled runs, keyed like the result cache.
         self._sampled_cache: Dict[Tuple[str, SchemeOrConfig], object] = {}
@@ -340,16 +354,6 @@ class ExperimentRunner:
         if self.store is None or self.sampling is None:
             return None
         return str(self.store.root / "checkpoints")
-
-    def trace_for(self, benchmark: str) -> Trace:
-        """Trace for a benchmark at this runner's scale (cached)."""
-        if benchmark not in self._trace_cache:
-            self._trace_cache[benchmark] = _memoized_trace(
-                get_profile(benchmark),
-                self.scale.num_instructions,
-                self.scale.seed,
-            )
-        return self._trace_cache[benchmark]
 
     def store_key(self, benchmark: str, scheme: SchemeOrConfig) -> str:
         """Content address of this pair's result at this runner's scale.
@@ -436,16 +440,14 @@ class ExperimentRunner:
 
     def _execute(self, benchmark: str, scheme: SchemeOrConfig) -> SimulationStats:
         """Simulate one uncached pair in process and file the result."""
-        stats, trace, sampled = execute_pair(
+        stats, sampled = execute_pair(
             benchmark,
             scheme,
             self.scale,
             kernel=self.kernel,
             sampling=self.sampling,
-            trace=self._trace_cache.get(benchmark),
             checkpoint_dir=self._checkpoint_dir(),
         )
-        self._trace_cache[benchmark] = trace
         self._record(benchmark, scheme, stats, sampled)
         return stats
 

@@ -33,7 +33,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import List, Optional
+from typing import Optional
 
 from repro.common import faults
 from repro.common.config import ProcessorConfig, stable_fingerprint
@@ -43,7 +43,6 @@ from repro.workloads.profiles import WorkloadProfile
 
 __all__ = [
     "ResultStore",
-    "MAX_SHARDS",
     "SIMULATOR_VERSION_TAG",
     "SAMPLING_VERSION_TAG",
     "STALE_TMP_AGE_SECONDS",
@@ -51,6 +50,7 @@ __all__ = [
     "default_cache_dir",
     "simulator_sources_digest",
     "package_sources_digest",
+    "atomic_write",
     "atomic_write_json",
     "record_cache_event",
     "sweep_stale_tmp",
@@ -77,12 +77,12 @@ def record_cache_event(cache: str, event: str, amount: int = 1) -> None:
     metrics.counter(_CACHE_EVENT_METRICS[event], store=cache).inc(amount)
 
 
-def atomic_write_json(path: Path, payload: dict) -> Path:
-    """Atomically persist ``payload`` as sorted JSON at ``path``.
+def atomic_write(path: Path, data: bytes) -> Path:
+    """Atomically replace ``path`` with ``data``.
 
     Temp file + ``os.replace`` in the destination directory, cleaned up
-    on any failure — the single crash-safe write path shared by the
-    result store and the sampling checkpoint store, so a future
+    on any failure — the one crash-safe write path of the tree (results,
+    checkpoints, trace spills, exported artifacts), so a future
     hardening (fsync, permissions) lands in one place.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -94,8 +94,8 @@ def atomic_write_json(path: Path, payload: dict) -> Path:
         dir=path.parent, prefix=f".{os.getpid()}-", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -104,6 +104,11 @@ def atomic_write_json(path: Path, payload: dict) -> Path:
             pass
         raise
     return path
+
+
+def atomic_write_json(path: Path, payload: dict) -> Path:
+    """Atomically persist ``payload`` as sorted JSON at ``path``."""
+    return atomic_write(path, json.dumps(payload, sort_keys=True).encode("utf-8"))
 
 
 #: A ``*.tmp`` file this old is an orphan, not a live write. Atomic
@@ -116,12 +121,12 @@ STALE_TMP_AGE_SECONDS = 3600.0
 def sweep_stale_tmp(root: os.PathLike, max_age: float = STALE_TMP_AGE_SECONDS) -> int:
     """Best-effort removal of orphaned atomic-write temp files.
 
-    Every atomic writer in the tree (results, checkpoints, trace spills,
-    artifacts) stages through ``mkstemp(suffix=".tmp")`` + ``os.replace``
-    and unlinks its temp file on failure — but a SIGKILLed worker
-    unlinks nothing, so orphans accumulate under ``$REPRO_CACHE_DIR``
-    forever. This sweep deletes ``*.tmp`` files older than ``max_age``
-    seconds anywhere under ``root`` and returns the count removed.
+    Every atomic write in the tree (results, checkpoints, trace spills,
+    artifacts) stages through :func:`atomic_write`, which unlinks its
+    temp file on failure — but a SIGKILLed worker unlinks nothing, so
+    orphans accumulate under ``$REPRO_CACHE_DIR`` forever. This sweep
+    deletes ``*.tmp`` files older than ``max_age`` seconds anywhere
+    under ``root`` and returns the count removed.
 
     It cannot race a live writer (young temp files are skipped, and a
     writer that somehow loses its file to the sweep fails loudly at
@@ -266,35 +271,17 @@ def result_key(
     ).hexdigest()
 
 
-#: Upper bound on :class:`ResultStore` shard count — enough to spread a
-#: fleet of hosts, small enough that ``shard_counts`` stays a cheap scan.
-MAX_SHARDS = 4096
-
-
 class ResultStore:
     """Directory of JSON-serialized :class:`SimulationStats`, by key.
 
-    ``shards`` partitions the key space by prefix: with ``shards > 1``
-    every result lives under ``shard-<i>/<key[:2]>/<key>.json`` where
-    ``i`` is derived from the leading key bytes. Keys are SHA-256
-    digests, so the shards fill uniformly and a fleet of executor
-    workers (or hosts) can each own a disjoint directory subtree —
-    no shared directory inodes to contend on, and a shard is a complete,
-    independently rsync-able unit. ``shards=1`` (the default) keeps the
-    original flat ``<key[:2]>/<key>.json`` layout byte-for-byte, and a
-    sharded store still *reads* that legacy layout as a fallback, so
-    pointing a sharded service at an existing CLI cache stays warm.
+    Every result lives at ``<root>/<key[:2]>/<key>.json``: the two-level
+    fan-out keeps directories small for big sweeps, and the server and
+    the CLIs share this one layout, so each starts warm on a cache the
+    other filled.
     """
 
-    def __init__(
-        self, root: Optional[os.PathLike] = None, shards: int = 1
-    ) -> None:
-        if not 1 <= shards <= MAX_SHARDS:
-            raise ValueError(
-                f"shards must be in [1, {MAX_SHARDS}], got {shards}"
-            )
+    def __init__(self, root: Optional[os.PathLike] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.shards = shards
         # Cache hygiene: reap temp files orphaned by SIGKILLed writers.
         # The sweep covers the whole tree (results, traces, checkpoints)
         # and only touches files old enough that no live writer can
@@ -313,28 +300,8 @@ class ResultStore:
             return cls()
         return None
 
-    def shard_index(self, key: str) -> int:
-        """Shard owning ``key``: its leading bytes modulo ``shards``.
-
-        Keys are uniformly distributed SHA-256 hex digests, so a prefix
-        modulus balances shards without any coordination — every process
-        (and host) computes the same placement independently.
-        """
-        return int(key[:8], 16) % self.shards
-
-    def _legacy_path(self, key: str) -> Path:
-        # Two-level fan-out keeps directories small for big sweeps.
-        return self.root / key[:2] / f"{key}.json"
-
     def _path(self, key: str) -> Path:
-        if self.shards == 1:
-            return self._legacy_path(key)
-        return (
-            self.root
-            / f"shard-{self.shard_index(key):03d}"
-            / key[:2]
-            / f"{key}.json"
-        )
+        return self.root / key[:2] / f"{key}.json"
 
     def load(self, key: str) -> Optional[SimulationStats]:
         """Cached stats for ``key``, or ``None`` on any kind of miss.
@@ -355,18 +322,9 @@ class ResultStore:
         garbage, wrong JSON shape, mis-typed stats or extra fields,
         version mismatch — reads as a miss, never an exception.
         """
-        candidates = [self._path(key)]
-        if self.shards > 1:
-            # Migration fallback: a sharded store can still serve results
-            # an unsharded writer (the CLIs) filed under the flat layout.
-            candidates.append(self._legacy_path(key))
-        for path in candidates:
-            loaded = self._read_payload(path)
-            if loaded is not None:
-                record_cache_event("results", "hit")
-                return loaded
-        record_cache_event("results", "miss")
-        return None
+        loaded = self._read_payload(self._path(key))
+        record_cache_event("results", "hit" if loaded is not None else "miss")
+        return loaded
 
     @staticmethod
     def _read_payload(path: Path):
@@ -407,34 +365,11 @@ class ResultStore:
         record_cache_event("results", "write")
         return path
 
-    def shard_counts(self) -> List[int]:
-        """Cached-result count per shard, in shard order.
-
-        With ``shards == 1`` this is a one-element list (the flat-layout
-        total); a sharded store counts each ``shard-*`` subtree plus any
-        legacy flat-layout leftovers folded into their owning shard, so
-        the sum always equals ``len(self)``.
-        """
-        counts = [0] * self.shards
-        if not self.root.is_dir():
-            return counts
-        for path in self.root.glob("*/*.json"):
-            try:
-                counts[self.shard_index(path.stem)] += 1
-            except ValueError:
-                # Not a result key (foreign file in the tree): shard 0.
-                counts[0] += 1
-        if self.shards > 1:
-            for index in range(self.shards):
-                shard_dir = self.root / f"shard-{index:03d}"
-                counts[index] += sum(1 for _ in shard_dir.glob("*/*.json"))
-        return counts
-
     def __len__(self) -> int:
-        """Number of cached results on disk (all layouts)."""
-        return sum(self.shard_counts())
+        """Number of cached results on disk."""
+        if not self.root.is_dir():
+            return 0
+        return sum(1 for _ in self.root.glob("*/*.json"))
 
     def __repr__(self) -> str:
-        if self.shards > 1:
-            return f"ResultStore({str(self.root)!r}, shards={self.shards})"
         return f"ResultStore({str(self.root)!r})"

@@ -5,7 +5,7 @@ Command line::
     python -m repro.explore [--samples N] [--rounds K] [--seed S]
         [--strategy grid|random|mixed] [--benchmarks GROUP|a,b,c]
         [--aggregate [GROUP|a,b,c]] [--epsilon E] [--frontier-budget N]
-        [--scale N] [--workers N] [--kernel naive|skip]
+        [--scale N] [--workers N] [--kernel naive|skip|specialized]
         [--sampling [SPEC]] [--neighbors N] [--out DIR]
         [--cache-dir DIR] [--no-cache] [--trace-out DIR]
 
@@ -45,6 +45,7 @@ import argparse
 from typing import List, Optional
 
 from repro import obs
+from repro.common.config import VALID_KERNELS
 from repro.common.errors import ConfigurationError, UnknownBenchmarkError
 from repro.experiments.store import ResultStore, default_cache_dir
 from repro.explore.drivers import (
@@ -97,9 +98,9 @@ def main(argv: Optional[List[str]] = None) -> None:
                              "(default 2000)")
     parser.add_argument("--workers", type=int, default=0,
                         help="simulation worker processes (0 = serial)")
-    parser.add_argument("--kernel", choices=("naive", "skip"), default=None,
+    parser.add_argument("--kernel", choices=VALID_KERNELS, default=None,
                         help="simulation kernel override (results are "
-                             "bit-identical either way)")
+                             "bit-identical under every kernel)")
     parser.add_argument("--sampling", type=str, nargs="?", const="",
                         default=None, metavar="SPEC",
                         help="sampled execution mode: score points from "

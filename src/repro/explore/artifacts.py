@@ -18,11 +18,11 @@ import csv
 import io
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.report import render_series, render_table
+from repro.experiments.store import atomic_write
 
 __all__ = [
     "write_json",
@@ -33,26 +33,10 @@ __all__ = [
 ]
 
 
-def _atomic_write_text(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    return path
-
-
 def write_json(path: os.PathLike, payload) -> Path:
     """Atomically write ``payload`` as sorted, indented JSON."""
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return _atomic_write_text(Path(path), text)
+    return atomic_write(Path(path), text.encode("utf-8"))
 
 
 def write_csv(
@@ -78,7 +62,7 @@ def write_csv(
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    return _atomic_write_text(Path(path), buffer.getvalue())
+    return atomic_write(Path(path), buffer.getvalue().encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ executes every sampled point through the existing
 :class:`~repro.experiments.runner.ExperimentRunner` memory → disk →
 parallel stack, so a warm re-exploration resolves every simulation from
 cache and refinement rounds only pay for genuinely new points — and all
-runs stay bit-identical under both simulation kernels.
+runs stay bit-identical under every simulation kernel.
 """
 
 from __future__ import annotations

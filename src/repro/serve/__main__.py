@@ -3,7 +3,7 @@
 Command line::
 
     python -m repro.serve [--host HOST] [--port PORT]
-        [--cache-dir DIR] [--shards N] [--workers N]
+        [--cache-dir DIR] [--workers N]
         [--batch-interval SECONDS] [--job-threads N] [--trace-out DIR]
 
 Starts a long-lived asyncio HTTP service over the content-addressed
@@ -18,7 +18,8 @@ result store. Clients POST JSON job specs to ``/v1/jobs``::
 and follow progress via ``GET /v1/jobs/<id>`` (status),
 ``/v1/jobs/<id>/events`` (chunked NDJSON stream) and
 ``/v1/jobs/<id>/artifact`` (the same byte-identical JSON/CSV artifacts
-the CLIs emit). ``/v1/stats`` exposes coalescing and shard counters;
+the CLIs emit). ``/v1/stats`` exposes coalescing counters and the
+store's result count;
 ``/v1/version`` mirrors ``campaign --version-tag``. ``GET /metrics``
 serves the observability registry in Prometheus text format and
 ``GET /`` a self-contained HTML status page; ``--trace-out DIR`` (or
@@ -26,8 +27,9 @@ serves the observability registry in Prometheus text format and
 and NDJSON event sidecars — artifacts stay byte-identical either way.
 
 ``--workers`` sizes the per-batch ``multiprocessing`` fan-out (0 = run
-batches serially in the executor thread); ``--shards`` partitions the
-store layout by key prefix. SIGINT/SIGTERM shut down gracefully:
+batches serially in the executor thread). The store keeps the CLIs'
+layout, so the server and the CLIs start warm on each other's cache
+directory. SIGINT/SIGTERM shut down gracefully:
 in-flight batches drain, queued jobs fail with a clear status, orphaned
 temp files are swept.
 """
@@ -39,7 +41,7 @@ import asyncio
 from typing import List, Optional
 
 from repro import obs
-from repro.experiments.store import MAX_SHARDS, ResultStore, default_cache_dir
+from repro.experiments.store import ResultStore, default_cache_dir
 from repro.serve.app import ServeApp
 from repro.serve.scheduler import DEFAULT_BATCH_INTERVAL
 
@@ -56,10 +58,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="result-store directory (default: "
                              "$REPRO_CACHE_DIR or ~/.cache/repro-abella04)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help=f"key-prefix shards of the store layout "
-                             f"(1..{MAX_SHARDS}; default 4; a sharded "
-                             f"store still reads unsharded CLI caches)")
     parser.add_argument("--workers", type=int, default=2,
                         help="simulation processes per batch (0 = serial "
                              "in-thread execution; default 2)")
@@ -82,15 +80,8 @@ def main(argv: Optional[List[str]] = None) -> None:
         parser.error("--batch-interval must be positive")
     if args.job_threads < 1:
         parser.error("--job-threads must be at least 1")
-    try:
-        store = ResultStore(
-            args.cache_dir if args.cache_dir else default_cache_dir(),
-            shards=args.shards,
-        )
-    except ValueError as exc:
-        parser.error(f"--shards: {exc}")
     app = ServeApp(
-        store,
+        ResultStore(args.cache_dir if args.cache_dir else default_cache_dir()),
         workers=args.workers,
         batch_interval=args.batch_interval,
         job_threads=args.job_threads,

@@ -57,9 +57,6 @@ class ServeApp:
         self.http = HttpFrontend(self)
         self.host: Optional[str] = None
         self.port: Optional[int] = None
-        # Shard census at startup: /v1/stats and the status page report
-        # per-shard growth since the server came up, not just totals.
-        self._start_shard_counts = store.shard_counts()
         self._shutdown_started = False
         self._stopped = asyncio.Event()
 
@@ -72,25 +69,14 @@ class ServeApp:
         return version_payload()
 
     def stats_payload(self) -> Dict:
-        """``GET /v1/stats`` — scheduler, job and store-shard counters."""
+        """``GET /v1/stats`` — scheduler and job counters, store size."""
         states: Dict[str, int] = {}
         for job in self.jobs.jobs.values():
             states[job.state] = states.get(job.state, 0) + 1
-        shard_counts = self.store.shard_counts()
-        start = self._start_shard_counts
         return {
             "scheduler": self.scheduler.stats_payload(),
             "jobs": {"accepted": len(self.jobs.jobs), "states": states},
-            "store": {
-                "root": str(self.store.root),
-                "shards": self.store.shards,
-                "shard_counts": shard_counts,
-                "shard_counts_at_start": list(start),
-                "shard_growth": [
-                    now - then for now, then in zip(shard_counts, start)
-                ],
-                "results": len(self.store),
-            },
+            "store": {"root": str(self.store.root), "results": len(self.store)},
         }
 
     def metrics_text(self) -> str:
@@ -152,8 +138,7 @@ class ServeApp:
         bound_port = await self.start(host, port)
         print(
             f"repro.serve: listening on http://{self.host}:{bound_port} "
-            f"(store {self.store.root}, {self.store.shards} shard(s), "
-            f"workers {self.scheduler.workers})",
+            f"(store {self.store.root}, workers {self.scheduler.workers})",
             flush=True,
         )
         try:

@@ -82,24 +82,6 @@ def _jobs_table(jobs: List[Dict]) -> str:
     )
 
 
-def _shard_table(store: Dict) -> str:
-    counts = store["shard_counts"]
-    start = store.get("shard_counts_at_start", [0] * len(counts))
-    growth = store.get(
-        "shard_growth", [now - then for now, then in zip(counts, start)]
-    )
-    rows = "".join(
-        _row([f"shard {index}", str(counts[index]), f"+{growth[index]}"])
-        for index in range(len(counts))
-    )
-    rows += _row(["total", str(store["results"]), f"+{sum(growth)}"])
-    return (
-        "<table><tr><th>shard</th><th>results</th><th>since start</th></tr>"
-        + rows
-        + "</table>"
-    )
-
-
 def render_status_page(app) -> str:
     """Render the whole status page from a live :class:`ServeApp`."""
     stats = app.stats_payload()
@@ -138,8 +120,8 @@ def render_status_page(app) -> str:
 </head>
 <body>
 <h1>repro.serve — campaign server</h1>
-<p>store <code>{html.escape(str(store['root']))}</code>
-({store['shards']} shard(s)) &middot;
+<p>store <code>{html.escape(str(store['root']))}</code> &middot;
+results stored: {store['results']} &middot;
 jobs accepted: {stats['jobs']['accepted']} ({html.escape(job_states)}) &middot;
 endpoints: <a href="/v1/stats">/v1/stats</a>,
 <a href="/metrics">/metrics</a>, <a href="/v1/jobs">/v1/jobs</a></p>
@@ -147,8 +129,6 @@ endpoints: <a href="/v1/stats">/v1/stats</a>,
 {_counter_table(live)}
 <h2>Scheduler — cumulative (coalescing)</h2>
 {_counter_table(cumulative)}
-<h2>Store shard census</h2>
-{_shard_table(store)}
 <h2>Jobs</h2>
 {_jobs_table(jobs)}
 <p class="muted">auto-refreshes every 5 s &middot; numbers match

@@ -32,7 +32,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import zlib
 from pathlib import Path
 from typing import List, Optional
@@ -191,25 +190,18 @@ def materialize_trace(
 ) -> Trace:
     """Load the spilled trace, generating and spilling it if absent.
 
-    Safe under concurrent callers: the file is written atomically via a
-    temp file + ``os.replace``, so racers at worst regenerate redundantly
-    and the file is always complete.
+    Safe under concurrent callers: the file is written through
+    :func:`repro.experiments.store.atomic_write`, so racers at worst
+    regenerate redundantly and the file is always complete.
     """
+    from repro.experiments.store import atomic_write
+
     trace = load_trace(trace_dir, profile, num_instructions, seed)
     if trace is not None:
         return trace
     trace = generate_trace(profile, num_instructions, seed=seed)
-    path = trace_spill_path(trace_dir, profile, num_instructions, seed)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_encode_trace(trace))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    atomic_write(
+        trace_spill_path(trace_dir, profile, num_instructions, seed),
+        _encode_trace(trace),
+    )
     return trace

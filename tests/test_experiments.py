@@ -65,8 +65,46 @@ class TestRunner:
         second = runner.run("gzip", IQ_64_64)
         assert first is second
 
-    def test_trace_caching(self, runner):
-        assert runner.trace_for("gzip") is runner.trace_for("gzip")
+    def test_trace_caching(self, monkeypatch):
+        # One process memo serves every pair of every runner.
+        from repro.experiments import runner as runner_mod
+        from repro.workloads.generator import generate_trace
+
+        monkeypatch.setattr(runner_mod, "_TRACE_MEMO", {})
+        generated = []
+
+        def counting_generate(*args, **kwargs):
+            generated.append(args)
+            return generate_trace(*args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "generate_trace", counting_generate)
+        trace = runner_mod.resolve_trace("gzip", SMALL)
+        assert runner_mod.resolve_trace("gzip", SMALL) is trace
+        for scheme in (IQ_64_64, IF_DISTR):
+            ExperimentRunner(SMALL, store=False).run("gzip", scheme)
+        assert len(generated) == 1
+
+    def test_trace_resolution_order(self, tmp_path, monkeypatch):
+        # Memo first, then the spill file, generation only on a double miss.
+        from repro.experiments import runner as runner_mod
+        from repro.workloads.spill import materialize_trace
+        from repro.workloads.suites import get_profile
+
+        spilled = materialize_trace(
+            tmp_path, get_profile("gzip"), SMALL.num_instructions, SMALL.seed
+        )
+        monkeypatch.setattr(runner_mod, "_TRACE_MEMO", {})
+
+        def no_generation(*args, **kwargs):
+            raise AssertionError("trace regenerated despite its spill file")
+
+        monkeypatch.setattr(runner_mod, "generate_trace", no_generation)
+        loaded = runner_mod.resolve_trace("gzip", SMALL, str(tmp_path))
+        assert loaded is not spilled
+        assert [str(i) for i in loaded] == [str(i) for i in spilled]
+        assert runner_mod.resolve_trace("gzip", SMALL) is loaded
+        with pytest.raises(AssertionError, match="regenerated"):
+            runner_mod.resolve_trace("mcf", SMALL, str(tmp_path))
 
     def test_ipc_positive(self, runner):
         assert runner.ipc("gzip", IQ_64_64) > 0

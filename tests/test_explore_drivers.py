@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.common.config import VALID_KERNELS
 from repro.common.errors import ConfigurationError
 from repro.experiments.store import ResultStore
 from repro.explore.__main__ import main as explore_main
@@ -325,6 +326,31 @@ class TestCli:
     def test_cli_rejects_bad_scale(self, tmp_path):
         with pytest.raises(SystemExit):
             explore_main(["--scale", "100", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("kernel", VALID_KERNELS)
+    def test_cli_accepts_every_kernel(self, tmp_path, monkeypatch, kernel):
+        from repro.explore import __main__ as cli
+
+        seen = []
+
+        class Parsed(Exception):
+            pass
+
+        def capture(settings, store):
+            seen.append(settings)
+            raise Parsed
+
+        monkeypatch.setattr(cli, "run_exploration", capture)
+        with pytest.raises(Parsed):
+            explore_main(["--kernel", kernel, "--no-cache",
+                          "--out", str(tmp_path)])
+        assert [settings.kernel for settings in seen] == [kernel]
+
+    def test_cli_rejects_unknown_kernel(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            explore_main(["--kernel", "turbo", "--out", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "invalid choice: 'turbo'" in capsys.readouterr().err
 
 
 from repro.sampling import SamplingPlan  # noqa: E402  (sampled-mode tests)

@@ -311,14 +311,14 @@ class TestExecutePair:
         from repro.experiments import IF_DISTR
         from repro.experiments.runner import execute_pair, simulate_pair
 
-        stats, trace, sampled = execute_pair(
+        stats, sampled = execute_pair(
             "gzip", IF_DISTR, self._scale(), kernel=kernel
         )
         assert sampled is None
         # simulate_pair records nothing, so the registry still holds only
         # the execute_pair run.
         reference, __, telemetry = simulate_pair(
-            "gzip", IF_DISTR, self._scale(), trace=trace, kernel=kernel
+            "gzip", IF_DISTR, self._scale(), kernel=kernel
         )
         assert stats.to_dict() == reference.to_dict()
         assert obs.kernel_totals() == telemetry.as_dict()
@@ -334,12 +334,12 @@ class TestExecutePair:
         plan = SamplingPlan(num_slices=3, slice_instructions=150,
                             warmup_instructions=100)
         scale = self._scale()
-        stats, trace, sampled = execute_pair(
+        stats, sampled = execute_pair(
             "gzip", IF_DISTR, scale, kernel="skip", sampling=plan
         )
         assert stats.to_dict() == sampled.stats.to_dict()
         reference, __, telemetry = simulate_sampled_pair(
-            "gzip", IF_DISTR, scale, plan, trace=trace, kernel="skip"
+            "gzip", IF_DISTR, scale, plan, kernel="skip"
         )
         assert sampled.to_dict() == reference.to_dict()
         assert obs.kernel_totals() == telemetry.as_dict()
@@ -350,10 +350,10 @@ class TestExecutePair:
         assert detailed + ffwd == scale.num_instructions
 
     def test_pool_job_ships_stats_and_its_registry_delta(self, monkeypatch):
-        from repro.experiments import IF_DISTR, parallel
+        from repro.experiments import IF_DISTR, parallel, runner
         from repro.experiments.runner import simulate_pair
 
-        monkeypatch.setattr(parallel, "_WORKER_TRACES", {})
+        monkeypatch.setattr(runner, "_TRACE_MEMO", {})
         obs.counter("repro_unrelated_total").inc()  # before the job: not shipped
         payload = parallel._run_job(
             ("gzip", IF_DISTR, self._scale(), "skip", None, None, None)
@@ -475,7 +475,7 @@ class TestServeEndpoints:
             return int(head.split(b" ")[1]), head, rest
 
         async def body():
-            app = ServeApp(ResultStore(tmp_path, shards=2), batch_interval=0.02)
+            app = ServeApp(ResultStore(tmp_path), batch_interval=0.02)
             port = await app.start("127.0.0.1", 0)
             try:
                 spec = {
@@ -511,7 +511,7 @@ class TestServeEndpoints:
                 html = page.decode("utf-8")
                 assert "repro.serve" in html
                 assert job_id in html
-                assert "Store shard census" in html
+                assert "results stored: 1" in html
 
                 status, __, raw = await request(port, "GET", "/v1/stats")
                 stats = json.loads(raw)
@@ -519,9 +519,7 @@ class TestServeEndpoints:
                 assert sched["queue_depth"] == 0
                 assert sched["in_flight_batches"] == 0
                 assert sched["waiters"] == sched["misses"] + sched["coalesced"]
-                store_stats = stats["store"]
-                assert store_stats["shard_counts_at_start"] == [0, 0]
-                assert sum(store_stats["shard_growth"]) == 1
+                assert stats["store"]["results"] == 1
 
                 status, __, __body = await request(port, "GET", "/nope")
                 assert status == 404

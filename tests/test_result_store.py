@@ -13,8 +13,11 @@ from repro.experiments.runner import RunScale
 from repro.experiments.store import (
     SIMULATOR_VERSION_TAG,
     ResultStore,
+    atomic_write_json,
     result_key,
 )
+from repro.explore.artifacts import write_csv, write_json
+from repro.workloads.spill import materialize_trace, trace_spill_path
 from repro.workloads.suites import get_profile
 
 SCALE = RunScale(num_instructions=1200, warmup_instructions=600, seed=7)
@@ -79,6 +82,10 @@ class TestStoreRoundTrip:
         store.save(key_for(IQ_64_64), make_stats())
         store.save(key_for(IF_DISTR), make_stats())
         assert len(store) == 2
+
+    def test_layout_is_key_prefix_fanout(self, tmp_path):
+        path = ResultStore(tmp_path).save(key_for(), make_stats())
+        assert path == tmp_path / key_for()[:2] / f"{key_for()}.json"
 
 
 class TestKeySensitivity:
@@ -277,6 +284,22 @@ def _hammer_one_key(args):
     return cycles
 
 
+def _write_spill(root):
+    profile = get_profile("gzip")
+    materialize_trace(root / "traces", profile, 800, 5)
+    return trace_spill_path(root / "traces", profile, 800, 5)
+
+
+#: Every atomic writer of the tree, by name: each writes under a root
+#: directory and returns the path it wrote.
+_WRITERS = {
+    "atomic_write_json": lambda root: atomic_write_json(root / "x.json", {"a": 1}),
+    "explore.write_csv": lambda root: write_csv(root / "x.csv", [{"a": 1}]),
+    "explore.write_json": lambda root: write_json(root / "x.json", {"a": 1}),
+    "spill.materialize_trace": _write_spill,
+}
+
+
 class TestConcurrentWriters:
     """Many processes saving the same key must never tear a read."""
 
@@ -295,70 +318,28 @@ class TestConcurrentWriters:
         # No torn temp files left behind by the rename dance.
         assert list(tmp_path.rglob("*.tmp")) == []
 
-    def test_tmp_names_embed_pid(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_tmp_names_embed_pid(self, tmp_path, monkeypatch, writer):
+        # Every atomic writer stages through one pid-prefixed temp file
+        # and leaves no temp file behind.
         import os
+        import tempfile
 
-        from repro.experiments import store as store_mod
+        staged = []
+        real_mkstemp = tempfile.mkstemp
 
-        seen = []
-        real_mkstemp = store_mod.tempfile.mkstemp
+        def spy(*args, **kwargs):
+            fd, name = real_mkstemp(*args, **kwargs)
+            staged.append(os.path.basename(name))
+            return fd, name
 
-        def spy(**kwargs):
-            seen.append(kwargs)
-            return real_mkstemp(**kwargs)
-
-        monkeypatch.setattr(store_mod.tempfile, "mkstemp", spy)
-        store_mod.atomic_write_json(tmp_path / "ab" / "x.json", {"a": 1})
-        (kwargs,) = seen
-        assert str(os.getpid()) in kwargs["prefix"]
-        assert kwargs["suffix"] == ".tmp"
-
-
-class TestShardedLayout:
-    """Key-prefix sharding for the service store."""
-
-    def test_shards_partition_without_losing_results(self, tmp_path):
-        store = ResultStore(tmp_path, shards=8)
-        keys = [key_for(scheme, bench)
-                for scheme in (IQ_64_64, IF_DISTR)
-                for bench in ("gzip", "mcf", "twolf")]
-        for key in keys:
-            store.save(key, make_stats())
-        assert len(store) == len(keys)
-        assert sum(store.shard_counts()) == len(keys)
-        for key in keys:
-            assert store.load(key) == make_stats()
-            index = store.shard_index(key)
-            assert f"shard-{index:03d}" in str(store._path(key))
-
-    def test_shard_index_is_stable_and_bounded(self, tmp_path):
-        store = ResultStore(tmp_path, shards=8)
-        key = key_for()
-        assert store.shard_index(key) == store.shard_index(key)
-        assert 0 <= store.shard_index(key) < 8
-        assert store.shard_index(key) == int(key[:8], 16) % 8
-
-    def test_sharded_store_reads_legacy_flat_layout(self, tmp_path):
-        # A CLI-populated (unsharded) cache stays warm when the server
-        # opens the same directory with shards > 1.
-        flat = ResultStore(tmp_path)
-        flat.save(key_for(), make_stats())
-        sharded = ResultStore(tmp_path, shards=8)
-        assert sharded.load(key_for()) == make_stats()
-        assert len(sharded) == 1
-
-    def test_unsharded_store_keeps_flat_layout(self, tmp_path):
-        store = ResultStore(tmp_path, shards=1)
-        path = store.save(key_for(), make_stats())
-        assert "shard-" not in str(path)
-        assert path.parent.name == key_for()[:2]
-
-    def test_invalid_shard_counts_rejected(self, tmp_path):
-        from repro.experiments.store import MAX_SHARDS
-
-        for bad in (0, -4, MAX_SHARDS + 1):
-            with pytest.raises(ValueError):
-                ResultStore(tmp_path, shards=bad)
+        monkeypatch.setattr(tempfile, "mkstemp", spy)
+        written = _WRITERS[writer](tmp_path)
+        assert written.exists()
+        (name,) = staged
+        assert name.startswith(f".{os.getpid()}-")
+        assert name.endswith(".tmp")
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class TestStaleTmpSweep:

@@ -250,7 +250,7 @@ SIM_SPEC = {
 class TestHttpService:
     def test_duplicate_jobs_share_one_simulation(self, tmp_path):
         async def body():
-            app = ServeApp(ResultStore(tmp_path, shards=4),
+            app = ServeApp(ResultStore(tmp_path),
                            batch_interval=FAST_TICK)
             port = await app.start("127.0.0.1", 0)
             try:
@@ -276,8 +276,7 @@ class TestHttpService:
                 status, body = await _request(port, "GET", "/v1/stats")
                 stats = json.loads(body)
                 assert stats["scheduler"]["simulated"] == 1
-                assert stats["store"]["shards"] == 4
-                assert sum(stats["store"]["shard_counts"]) == 1
+                assert stats["store"] == {"root": str(tmp_path), "results": 1}
             finally:
                 await app.shutdown()
 
@@ -285,7 +284,7 @@ class TestHttpService:
 
     def test_warm_restart_server_simulates_nothing(self, tmp_path):
         async def cold():
-            app = ServeApp(ResultStore(tmp_path, shards=4),
+            app = ServeApp(ResultStore(tmp_path),
                            batch_interval=FAST_TICK)
             port = await app.start("127.0.0.1", 0)
             try:
@@ -296,7 +295,7 @@ class TestHttpService:
                 await app.shutdown()
 
         async def warm():
-            app = ServeApp(ResultStore(tmp_path, shards=4),
+            app = ServeApp(ResultStore(tmp_path),
                            batch_interval=FAST_TICK)
             port = await app.start("127.0.0.1", 0)
             try:
@@ -320,6 +319,30 @@ class TestHttpService:
         assert warm_result == cold_sans
         assert stats["scheduler"]["simulated"] == 0
         assert stats["scheduler"]["hits"] == 1
+
+    def test_cli_runner_reads_what_the_server_wrote(self, tmp_path):
+        async def serve_one():
+            app = ServeApp(ResultStore(tmp_path), batch_interval=FAST_TICK)
+            port = await app.start("127.0.0.1", 0)
+            try:
+                __, body = await _post_json(port, "/v1/jobs", SIM_SPEC)
+                summary = await _await_job(port, json.loads(body)["job"])
+                __, body = await _request(port, "GET", "/v1/stats")
+                return summary, json.loads(body)
+            finally:
+                await app.shutdown()
+
+        summary, stats = run(serve_one())
+        assert summary["provenance"] == {PROVENANCE_SIMULATED: 1}
+        assert stats["store"]["results"] == 1
+        # The CLIs' runner over a fresh store on the same root: one
+        # layout, so the served result is a disk hit.
+        runner = ExperimentRunner(SCALE, store=ResultStore(tmp_path))
+        runner.run("gzip", IQ_64_64)
+        assert runner.cache_stats() == {
+            "memory_hits": 0, "disk_hits": 1, "simulations": 0,
+        }
+        assert not list(tmp_path.glob("shard-*"))
 
     def test_events_stream_carries_lifecycle_and_provenance(self, tmp_path):
         async def body():
