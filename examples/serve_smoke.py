@@ -70,7 +70,7 @@ async def _run_phase(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     store = ResultStore(args.cache_dir)
-    app = ServeApp(store, workers=args.workers, batch_interval=0.05)
+    app = ServeApp(store, workers=args.workers)
     port = await app.start("127.0.0.1", 0)
     print(f"serve-smoke[{phase}]: server on port {port}, store {store.root}")
     try:

@@ -12,12 +12,14 @@ per-operand scoreboard accessors, ``_schedule_completion`` and the
 operations. CPython call overhead dominates the interpreted detailed
 path, so the flattening — not algorithmic change — is the speedup.
 
-The generated module exposes ``make_kernel(processor)`` returning a
-``run(total, max_cycles, warmup_instructions)`` driver that clones the
-event-driven skipping loop of :mod:`repro.core.engine` verbatim
-(quiescence proof, measured-delta interval accounting, pure-broadcast
-drain spans, fault hooks), so a specialized run is bit-identical to
-``naive``/``skip`` by the same construction the skip kernel relies on.
+The generated module exposes ``make_step(processor)`` returning that
+``_step(cycle) -> (active, retired)`` closure, a drop-in for
+``Processor.step``. :func:`repro.core.engine.run_specialized` hands it
+to the one event-driven skipping loop,
+:func:`repro.core.engine.run_skipping` (quiescence proof,
+measured-delta interval accounting, pure-broadcast drain spans, fault
+hooks), so a specialized run is bit-identical to ``naive``/``skip`` by
+the same construction the skip kernel relies on.
 
 Inlining ground rules (the bit-identity contract):
 
@@ -640,8 +642,6 @@ Spec digest: {spec_digest(spec)}
 Spec: {json.dumps(spec, sort_keys=True)}
 """
 
-from repro.common import faults
-from repro.core.engine import _no_progress
 from repro.core.uop import InFlight
 from repro.isa.opcodes import FuType, OpClass
 from repro.issue.base import IssueContext, IssueScheme
@@ -651,7 +651,7 @@ _NEVER = 1 << 60
 {_opinfo_literal(spec)}
 
 
-def make_kernel(processor):
+def make_step(processor):
     config = processor.config
     scheme = processor.scheme
     events = processor.events
@@ -778,54 +778,6 @@ def make_kernel(processor):
         )
         return activity, retired
 
-    def run(total, max_cycles, warmup_instructions):
-        # Verbatim clone of repro.core.engine.run_skipping over _step.
-        telemetry = processor.kernel_telemetry
-        committed = 0
-        cycle = 0
-        snapshot = None
-        while committed < total:
-            if cycle > max_cycles:
-                raise _no_progress(processor, cycle, committed, total)
-            active, retired = _step(cycle)
-            committed += retired
-            cycle += 1
-            telemetry.executed_cycles += 1
-            if snapshot is None and committed >= warmup_instructions:
-                snapshot = processor._snapshot(cycle, committed)
-            if active or committed >= total:
-                continue
-            target = processor.next_event_cycle(cycle, defer_inert_broadcasts=True)
-            if target is None:
-                raise _no_progress(processor, cycle, committed, total)
-            if target <= cycle + 1:
-                continue
-            if cycle > max_cycles:
-                raise _no_progress(processor, cycle, committed, total)
-            before = processor.idle_accounting_snapshot()
-            active, retired = _step(cycle)
-            committed += retired
-            cycle += 1
-            telemetry.executed_cycles += 1
-            if snapshot is None and committed >= warmup_instructions:
-                snapshot = processor._snapshot(cycle, committed)
-            if active:
-                continue
-            span = min(target, max_cycles + 1) - cycle
-            if span > 0:
-                replayed = span
-                if span > 8 and faults.is_active(faults.SKIP_IDLE_UNDERCOUNT):
-                    replayed = span - 1
-                processor.advance_idle(before, replayed)
-                telemetry.drained_broadcasts += processor.drain_broadcasts(
-                    cycle, cycle + span
-                )
-                cycle += span
-                telemetry.skipped_cycles += span
-                telemetry.skip_spans += 1
-        processor._finalize(cycle, committed, snapshot)
-        return processor.stats
-
-    return run
+    return _step
 '''
     return body

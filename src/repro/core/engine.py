@@ -3,7 +3,8 @@
 The :class:`~repro.core.processor.Processor` owns the pipeline *stages*;
 this module owns the *loop* that drives them. Two kernels share the same
 stage code and must be bit-identical in every reported statistic (a
-third, ``specialized``, runs generated code; see :data:`_KERNELS`):
+third, ``specialized``, runs the ``skip`` loop over a generated step
+function; see :data:`_KERNELS`):
 
 ``naive``
     Tick :meth:`Processor.step` once per simulated cycle — the seed
@@ -141,8 +142,14 @@ def run_naive(processor, total: int, max_cycles: int, warmup_instructions: int):
     return processor.stats
 
 
-def run_skipping(processor, total: int, max_cycles: int, warmup_instructions: int):
-    """Event-driven kernel: jump over provably quiescent cycle spans."""
+def run_skipping(processor, total: int, max_cycles: int, warmup_instructions: int,
+                 step=None):
+    """Event-driven kernel: jump over provably quiescent cycle spans.
+
+    The loop drives ``step(cycle) -> (active, retired)``: ``processor.step``
+    by default, the generated equivalent for :func:`run_specialized`.
+    """
+    step = step or processor.step
     telemetry = processor.kernel_telemetry
     committed = 0
     cycle = 0
@@ -150,7 +157,7 @@ def run_skipping(processor, total: int, max_cycles: int, warmup_instructions: in
     while committed < total:
         if cycle > max_cycles:
             raise _no_progress(processor, cycle, committed, total)
-        active, retired = processor.step(cycle)
+        active, retired = step(cycle)
         committed += retired
         cycle += 1
         telemetry.executed_cycles += 1
@@ -176,7 +183,7 @@ def run_skipping(processor, total: int, max_cycles: int, warmup_instructions: in
         if cycle > max_cycles:
             raise _no_progress(processor, cycle, committed, total)
         before = processor.idle_accounting_snapshot()
-        active, retired = processor.step(cycle)
+        active, retired = step(cycle)
         committed += retired
         cycle += 1
         telemetry.executed_cycles += 1
@@ -209,17 +216,16 @@ def run_specialized(processor, total: int, max_cycles: int,
                     warmup_instructions: int):
     """Per-configuration generated kernel (:mod:`repro.backends`).
 
-    The generated kernel clones the loop of :func:`run_skipping` over a
-    flattened ``Processor.step``; the module is compiled once per kernel
-    spec.
+    :func:`run_skipping` drives a generated, flattened ``Processor.step``;
+    the module is compiled once per kernel spec.
     """
     # Imported lazily, so runs of the built-in kernels never load the
     # generator.
     from repro.backends import codegen, kernel_cache
 
     module = kernel_cache.load_kernel_module(codegen.kernel_spec(processor.config))
-    kernel = module.make_kernel(processor)
-    return kernel(total, max_cycles, warmup_instructions)
+    return run_skipping(processor, total, max_cycles, warmup_instructions,
+                        step=module.make_step(processor))
 
 
 _KERNELS = {

@@ -413,6 +413,8 @@ def main(argv: List[str] = None) -> None:
 
     if args.output_path and not args.output:
         parser.error("--output-path requires --output json|csv")
+    if args.no_cache and args.cache_dir:
+        parser.error("--no-cache and --cache-dir are mutually exclusive")
 
     plan = None
     if args.sampling is not None:

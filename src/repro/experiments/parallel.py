@@ -147,9 +147,11 @@ def simulate_matrix(
 ) -> List:
     """Simulate every (benchmark, scheme) pair; results in input order.
 
-    With ``workers <= 1`` (or a single pair) everything runs in-process
-    through the same worker function, so both paths are byte-identical by
-    construction. With ``trace_dir`` set, each unique trace is
+    With ``workers <= 1`` everything runs in-process through the same
+    worker function, so both paths are byte-identical by construction.
+    Any larger count runs even a single pair in a worker process, so
+    concurrent callers (the server's batch threads) never contend for
+    this process's GIL. With ``trace_dir`` set, each unique trace is
     materialized there once up front and shared by every worker.
 
     ``sampling`` (a :class:`~repro.sampling.plan.SamplingPlan`) switches
@@ -175,8 +177,7 @@ def simulate_matrix(
         (benchmark, scheme, scale, kernel, trace_dir, sampling, checkpoint_dir)
         for benchmark, scheme in pairs
     ]
-    workers = min(worker_count(workers), len(jobs)) if jobs else 0
-    if workers <= 1:
+    if not jobs or worker_count(workers) <= 1:
         payloads = [_run_job(job) for job in jobs]
         # In-process execution already updated the metrics registry
         # directly — merging would double-count.
@@ -184,7 +185,8 @@ def simulate_matrix(
             payload.pop("metrics", None)
     else:
         with multiprocessing.Pool(
-            processes=workers, initializer=_init_worker
+            processes=min(worker_count(workers), len(jobs)),
+            initializer=_init_worker,
         ) as pool:
             async_result = pool.map_async(_run_job, jobs, chunksize=1)
             pool.close()

@@ -126,6 +126,8 @@ def main(argv: Optional[List[str]] = None) -> None:
                              "metrics snapshot) under DIR; artifacts stay "
                              "byte-identical (equivalent: REPRO_TRACE=DIR)")
     args = parser.parse_args(argv)
+    if args.no_cache and args.cache_dir:
+        parser.error("--no-cache and --cache-dir are mutually exclusive")
 
     try:
         benchmarks = resolve_benchmarks(args.aggregate or args.benchmarks)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import threading
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Union
 
@@ -49,7 +50,9 @@ _ATEXIT_REGISTERED = False
 def configure(trace_dir: os.PathLike) -> Tracer:
     """Enable tracing into ``trace_dir`` for this process and its workers."""
     global _TRACER, _ATEXIT_REGISTERED
-    if _TRACER is not None:
+    if _TRACER is not None and _TRACER.pid == os.getpid():
+        # A forked child leaves the tracer it inherited alone: those
+        # files are its parent's to write.
         _TRACER.close()
     _TRACER = Tracer(trace_dir)
     os.environ[ENV_VAR] = str(trace_dir)
@@ -121,7 +124,7 @@ def flush() -> None:
         return
     tracer.flush()
     prom = tracer.directory / f"metrics-{tracer.pid}.prom"
-    tmp = prom.with_suffix(f".tmp-{tracer.pid}")
+    tmp = prom.with_suffix(f".tmp-{tracer.pid}-{threading.get_ident()}")
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(metrics.get_registry().render_prometheus())
     os.replace(tmp, prom)

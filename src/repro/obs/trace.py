@@ -105,7 +105,8 @@ class Tracer:
             events = list(self._events)
             self._ndjson.flush()
         path = self.directory / f"trace-{self.pid}.json"
-        tmp = path.with_suffix(f".tmp-{self.pid}")
+        # Threads of one process may flush at once: one temp file each.
+        tmp = path.with_suffix(f".tmp-{self.pid}-{threading.get_ident()}")
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(
                 {"traceEvents": events, "displayTimeUnit": "ms"},

@@ -8,9 +8,9 @@ all riding on the content-addressed result store:
   ``result_key`` fingerprint, so N concurrent askers of the same
   (config, profile, scale, kernel) share one execution and warm keys are
   answered with zero simulations (:mod:`repro.serve.scheduler`);
-* **batched execution** — compatible pending units fold into one
-  ``run_many`` campaign per tick, fanned out over a process pool off the
-  event loop;
+* **batched execution** — whenever one of the two batch slots is free,
+  every compatible pending unit folds into one ``run_many`` campaign,
+  fanned out over a process pool off the event loop;
 * **jobs over HTTP** — simulation, figure-campaign and exploration
   requests are JSON jobs with status, a chunked progress stream carrying
   per-unit cache/coalescing provenance, and artifacts byte-identical to

@@ -3,8 +3,7 @@
 Command line::
 
     python -m repro.serve [--host HOST] [--port PORT]
-        [--cache-dir DIR] [--workers N]
-        [--batch-interval SECONDS] [--job-threads N] [--trace-out DIR]
+        [--cache-dir DIR] [--workers N] [--trace-out DIR]
 
 Starts a long-lived asyncio HTTP service over the content-addressed
 result store. Clients POST JSON job specs to ``/v1/jobs``::
@@ -26,12 +25,14 @@ serves the observability registry in Prometheus text format and
 ``REPRO_TRACE=DIR``) additionally writes Chrome ``trace_event`` JSON
 and NDJSON event sidecars — artifacts stay byte-identical either way.
 
-``--workers`` sizes the per-batch ``multiprocessing`` fan-out (0 = run
-batches serially in the executor thread). The store keeps the CLIs'
-layout, so the server and the CLIs start warm on each other's cache
-directory. SIGINT/SIGTERM shut down gracefully:
-in-flight batches drain, queued jobs fail with a clear status, orphaned
-temp files are swept.
+Units that miss the store run in batches. A batch launches as soon as
+one of the two batch slots is free and takes every compatible unit that
+waited, so there is no batching interval to tune. ``--workers`` sizes
+the per-batch ``multiprocessing`` fan-out (0 = run batches serially in
+the executor thread). The store keeps the CLIs' layout, so the server
+and the CLIs start warm on each other's cache directory. SIGINT/SIGTERM
+shut down gracefully: in-flight batches drain, queued jobs fail with a
+clear status, orphaned temp files are swept.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from typing import List, Optional
 from repro import obs
 from repro.experiments.store import ResultStore, default_cache_dir
 from repro.serve.app import ServeApp
-from repro.serve.scheduler import DEFAULT_BATCH_INTERVAL
 
 
 def main(argv: Optional[List[str]] = None) -> None:
@@ -61,13 +61,6 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--workers", type=int, default=2,
                         help="simulation processes per batch (0 = serial "
                              "in-thread execution; default 2)")
-    parser.add_argument("--batch-interval", type=float,
-                        default=DEFAULT_BATCH_INTERVAL, metavar="SECONDS",
-                        help="how long requests pool before a batch "
-                             f"launches (default {DEFAULT_BATCH_INTERVAL})")
-    parser.add_argument("--job-threads", type=int, default=4,
-                        help="concurrent job bodies (figure assembly, "
-                             "exploration drivers; default 4)")
     parser.add_argument("--trace-out", type=str, default=None, metavar="DIR",
                         help="write observability sidecar files (Chrome "
                              "trace_event JSON, NDJSON event log, Prometheus "
@@ -76,15 +69,9 @@ def main(argv: Optional[List[str]] = None) -> None:
     args = parser.parse_args(argv)
     if args.workers < 0:
         parser.error("--workers cannot be negative")
-    if args.batch_interval <= 0:
-        parser.error("--batch-interval must be positive")
-    if args.job_threads < 1:
-        parser.error("--job-threads must be at least 1")
     app = ServeApp(
         ResultStore(args.cache_dir if args.cache_dir else default_cache_dir()),
         workers=args.workers,
-        batch_interval=args.batch_interval,
-        job_threads=args.job_threads,
     )
     if args.trace_out:
         obs.configure(args.trace_out)

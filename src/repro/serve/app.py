@@ -27,7 +27,7 @@ from repro import obs
 from repro.experiments.campaign import version_payload
 from repro.experiments.store import ResultStore, sweep_stale_tmp
 from repro.serve.jobs import JobService
-from repro.serve.scheduler import DEFAULT_BATCH_INTERVAL, CoalescingScheduler
+from repro.serve.scheduler import CoalescingScheduler
 
 __all__ = ["ServeApp"]
 
@@ -35,22 +35,11 @@ __all__ = ["ServeApp"]
 class ServeApp:
     """The campaign server: one store, one scheduler, one job index."""
 
-    def __init__(
-        self,
-        store: ResultStore,
-        workers: int = 0,
-        batch_interval: float = DEFAULT_BATCH_INTERVAL,
-        job_threads: int = 4,
-    ) -> None:
+    def __init__(self, store: ResultStore, workers: int = 0) -> None:
         self.store = store
-        self.scheduler = CoalescingScheduler(
-            store, workers=workers, batch_interval=batch_interval
-        )
+        self.scheduler = CoalescingScheduler(store, workers=workers)
         self.jobs = JobService(
-            store,
-            self.scheduler,
-            artifact_root=Path(store.root) / "serve",
-            job_threads=job_threads,
+            store, self.scheduler, artifact_root=Path(store.root) / "serve"
         )
         from repro.serve.http import HttpFrontend
 

@@ -47,6 +47,9 @@ __all__ = ["Job", "JobError", "JobService", "JOB_KINDS"]
 
 JOB_KINDS = ("simulation", "figures", "exploration")
 
+#: Job bodies (figure assembly, exploration drivers) that run at once.
+JOB_THREADS = 4
+
 #: Terminal job states.
 _TERMINAL = ("done", "failed")
 
@@ -95,7 +98,10 @@ def _parse_kernel(spec: Dict) -> Optional[str]:
     return kernel
 
 
-def _parse_sampling(spec: Dict):
+def _parse_sampling(spec: Dict, scale: RunScale):
+    """The job's sampling plan, checked against its scale as
+    ``campaign --sampling`` checks it, so a plan that cannot fit the
+    measured region is a 400, not a failed job."""
     sampling = spec.pop("sampling", None)
     if sampling is None:
         return None
@@ -104,9 +110,11 @@ def _parse_sampling(spec: Dict):
     from repro.sampling import SamplingPlan
 
     try:
-        return SamplingPlan.from_spec(sampling)
+        plan = SamplingPlan.from_spec(sampling)
+        plan.slice_windows(scale.warmup_instructions, scale.num_instructions)
     except ConfigurationError as exc:
         raise JobError(f"sampling: {exc}") from exc
+    return plan
 
 
 def _reject_unknown_keys(spec: Dict, kind: str) -> None:
@@ -186,7 +194,6 @@ class JobService:
         store: ResultStore,
         scheduler: CoalescingScheduler,
         artifact_root: Path,
-        job_threads: int = 4,
     ) -> None:
         self.store = store
         self.scheduler = scheduler
@@ -201,7 +208,7 @@ class JobService:
         from concurrent.futures import ThreadPoolExecutor
 
         self._job_pool = ThreadPoolExecutor(
-            max_workers=job_threads, thread_name_prefix="serve-job"
+            max_workers=JOB_THREADS, thread_name_prefix="serve-job"
         )
         self._schemes = _scheme_registry()
 
@@ -222,7 +229,7 @@ class JobService:
         parsed: Dict = {"type": kind}
         parsed["scale"] = _parse_scale(spec)
         parsed["kernel"] = _parse_kernel(spec)
-        parsed["sampling"] = _parse_sampling(spec)
+        parsed["sampling"] = _parse_sampling(spec, parsed["scale"])
         if kind == "simulation":
             benchmark = spec.pop("benchmark", None)
             if not isinstance(benchmark, str):

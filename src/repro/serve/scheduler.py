@@ -10,11 +10,16 @@ it answers, in order of preference:
 2. **coalesce** — an identical unit is in flight: subscribe to its
    future, zero *extra* simulations (N concurrent askers → one
    execution, N waiters);
-3. **schedule** — enqueue the unit; the ticker folds every compatible
-   pending unit into one :meth:`ExperimentRunner.run_many` batch per
-   tick and runs it in a worker thread, off the event loop (the batch
-   itself fans out across a ``multiprocessing`` pool when the service
-   was started with ``--workers N > 1``).
+3. **schedule** — enqueue the unit. As soon as one of the
+   :data:`BATCH_SLOTS` batch slots is free, every compatible pending
+   unit folds into one :meth:`ExperimentRunner.run_many` batch that runs
+   in a worker thread, off the event loop (the batch itself fans out
+   across a ``multiprocessing`` pool when the service was started with
+   ``--workers N > 1``, even for one pair, so two batches never share
+   the server's interpreter lock). Units that arrive while both slots
+   are busy wait, and the next free slot takes all of them at once, so
+   batches grow with load. Signatures launch in the order they began
+   waiting, so none can be starved.
 
 Everything downstream of the scheduler is the *existing* cached runner
 stack, so serve-side results are bit-identical to CLI results by
@@ -51,13 +56,10 @@ __all__ = [
     "ScheduledRunner",
     "SchedulerShutdown",
     "ServeCounters",
-    "DEFAULT_BATCH_INTERVAL",
 ]
 
-#: Seconds the ticker waits between batch launches. Long enough for a
-#: burst of concurrent requests to land in the same batch, short enough
-#: to be invisible next to even one tiny simulation.
-DEFAULT_BATCH_INTERVAL = 0.05
+#: Batches that run at once, one per thread of the batch executor.
+BATCH_SLOTS = 2
 
 
 class SchedulerShutdown(RuntimeError):
@@ -98,30 +100,22 @@ class CoalescingScheduler:
 
     Single-loop discipline: every method except :meth:`resolve_sync` must
     be called on the event loop that :meth:`start` ran on. Batch
-    execution happens in ``executor`` (a dedicated thread pool) so the
-    loop stays responsive while simulations run.
+    execution happens in a dedicated thread pool of :data:`BATCH_SLOTS`
+    threads so the loop stays responsive while simulations run.
     """
 
-    def __init__(
-        self,
-        store: ResultStore,
-        workers: int = 0,
-        batch_interval: float = DEFAULT_BATCH_INTERVAL,
-        executor: Optional[ThreadPoolExecutor] = None,
-    ) -> None:
+    def __init__(self, store: ResultStore, workers: int = 0) -> None:
         self.store = store
         self.workers = workers
-        self.batch_interval = batch_interval
         self.counters = ServeCounters()
-        self._executor = executor or ThreadPoolExecutor(
-            max_workers=2, thread_name_prefix="serve-batch"
+        self._executor = ThreadPoolExecutor(
+            max_workers=BATCH_SLOTS, thread_name_prefix="serve-batch"
         )
-        self._owns_executor = executor is None
         self._inflight: Dict[str, asyncio.Future] = {}
-        #: Pending units grouped by batch signature, with their keys.
+        #: Units waiting for a free batch slot, grouped by batch
+        #: signature, with their keys.
         self._pending: Dict[Tuple, List[Tuple[str, WorkUnit]]] = {}
         self._batch_tasks: set = set()
-        self._ticker: Optional[asyncio.Task] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
 
@@ -130,9 +124,8 @@ class CoalescingScheduler:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind to the running loop and start the batch ticker."""
+        """Bind to the running loop, for :meth:`resolve_sync`."""
         self._loop = asyncio.get_running_loop()
-        self._ticker = asyncio.create_task(self._tick_forever())
 
     async def close(self) -> None:
         """Graceful shutdown: drain in-flight batches, fail queued units.
@@ -143,12 +136,6 @@ class CoalescingScheduler:
         so their jobs fail with a clear status instead of hanging.
         """
         self._closed = True
-        if self._ticker is not None:
-            self._ticker.cancel()
-            try:
-                await self._ticker
-            except asyncio.CancelledError:
-                pass
         # Fail everything that never made it into a batch.
         for __, items in sorted(self._pending.items()):
             for key, __unit in items:
@@ -161,8 +148,7 @@ class CoalescingScheduler:
         # Drain batches already running in worker threads.
         if self._batch_tasks:
             await asyncio.gather(*list(self._batch_tasks), return_exceptions=True)
-        if self._owns_executor:
-            self._executor.shutdown(wait=True)
+        self._executor.shutdown(wait=True)
 
     @property
     def in_flight(self) -> int:
@@ -171,7 +157,7 @@ class CoalescingScheduler:
 
     @property
     def pending(self) -> int:
-        """Units queued but not yet folded into a batch."""
+        """Units waiting for a free batch slot."""
         return sum(len(items) for items in self._pending.values())
 
     @property
@@ -238,6 +224,7 @@ class CoalescingScheduler:
             )
             self.counters.count("misses")
             waiters.append((index, unit, key, future, PROVENANCE_SIMULATED))
+        self._launch_batches()
         for index, unit, key, future, provenance in waiters:
             # shield(): the future is shared by every coalesced waiter —
             # one cancelled request must not tear down the execution the
@@ -265,18 +252,24 @@ class CoalescingScheduler:
     # Batching.
     # ------------------------------------------------------------------
 
-    async def _tick_forever(self) -> None:
-        while True:
-            await asyncio.sleep(self.batch_interval)
-            self._launch_pending_batches()
-
-    def _launch_pending_batches(self) -> None:
-        """Fold each compatible pending group into one batch task."""
-        pending, self._pending = self._pending, {}
-        for __, items in sorted(pending.items()):
-            task = asyncio.ensure_future(self._run_batch(items))
+    def _launch_batches(self) -> None:
+        """Start one batch per pending signature while a batch slot is
+        free, the signature that has waited longest first."""
+        while self._pending and len(self._batch_tasks) < BATCH_SLOTS:
+            # Dict order is arrival order: a signature whose units
+            # launched re-enters at the end, so none can be starved.
+            signature = next(iter(self._pending))
+            task = asyncio.ensure_future(
+                self._run_batch(self._pending.pop(signature))
+            )
             self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
+            task.add_done_callback(self._batch_done)
+
+    def _batch_done(self, task: asyncio.Task) -> None:
+        """Free the finished batch's slot for whatever accumulated."""
+        self._batch_tasks.discard(task)
+        if not self._closed:
+            self._launch_batches()
 
     async def _run_batch(self, items: List[Tuple[str, WorkUnit]]) -> None:
         """Execute one compatible group via ``run_many``, off the loop.

@@ -86,7 +86,7 @@ class TestCodegenCache:
         after_cold = codegen.CODEGEN_RUNS
         assert kernel_cache.load_kernel_module(spec) is first
         assert codegen.CODEGEN_RUNS == after_cold
-        assert callable(first.make_kernel)
+        assert callable(first.make_step)
 
     def test_each_spec_compiles_its_own_module_once(self, monkeypatch):
         monkeypatch.setattr(kernel_cache, "_memo", {})

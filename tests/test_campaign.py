@@ -77,6 +77,12 @@ class TestCliFilters:
         assert "invalid choice: 'vectorized'" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_no_cache_with_cache_dir_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--figures", "7", "--no-cache", "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
 
 class TestListCatalog:
     def test_list_prints_catalog_and_exits_cleanly(self, capsys):

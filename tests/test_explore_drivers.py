@@ -352,6 +352,13 @@ class TestCli:
         assert exited.value.code == 2
         assert "invalid choice: 'turbo'" in capsys.readouterr().err
 
+    def test_cli_rejects_no_cache_with_cache_dir(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            explore_main(["--no-cache", "--cache-dir", str(tmp_path / "cache"),
+                          "--out", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "mutually exclusive" in capsys.readouterr().err
+
 
 from repro.sampling import SamplingPlan  # noqa: E402  (sampled-mode tests)
 

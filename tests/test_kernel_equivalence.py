@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.common import faults
 from repro.common.config import (
     KERNEL_NAIVE,
     KERNEL_SKIP,
@@ -251,8 +252,8 @@ class TestBroadcastDrainSpans:
     @pytest.mark.parametrize("kernel", (KERNEL_SPECIALIZED,))
     @pytest.mark.parametrize("scheme_name", sorted(ALL_SCHEMES))
     def test_backend_drain_spans_match_skip(self, kernel, scheme_name):
-        # The generated kernel clones the event-driven loop, so on the
-        # repo's best skipping case its span decisions — executed,
+        # The generated step runs under the skip kernel's loop, so on
+        # the repo's best skipping case its span decisions — executed,
         # skipped, span count AND closed-form drained broadcasts — must
         # be cycle-for-cycle the ones the skip kernel makes.
         scheme = ALL_SCHEMES[scheme_name]
@@ -346,6 +347,19 @@ class TestKernelTelemetry:
         )
         assert naive_stats.cycles == skip_stats.cycles
 
+
+class TestPlantedSkipFault:
+    def test_skip_loop_fault_reaches_specialized(self, monkeypatch):
+        # skip and specialized run one skip loop, so a fault planted in
+        # it must trip both kernels, identically.
+        monkeypatch.setenv(faults.ENV_VAR, faults.SKIP_IDLE_UNDERCOUNT)
+        scale = RunScale(1200, 600, 7)
+        stats = {
+            kernel: simulate_pair("mcf", IQ_64_64, scale, kernel=kernel)[0]
+            for kernel in VALID_KERNELS
+        }
+        assert stats[KERNEL_SKIP] != stats[KERNEL_NAIVE]
+        assert stats[KERNEL_SPECIALIZED] == stats[KERNEL_SKIP]
 
 class TestSampledSliceKernelEquivalence:
     """Sampled execution drives its detailed slices through the kernel

@@ -401,6 +401,48 @@ class TestTracer:
         prom = trace_dir / f"metrics-{pid}.prom"
         assert "repro_span_seconds" in prom.read_text()
 
+    def test_forked_child_leaves_the_inherited_tracer_alone(self, tmp_path):
+        trace_dir = tmp_path / "trace"
+        obs.configure(trace_dir)
+        with obs.span("parent.span"):
+            pass
+        child = os.fork()
+        if child == 0:
+            try:
+                obs.get_tracer()  # a fresh tracer for the child's pid
+            finally:
+                os._exit(0)
+        os.waitpid(child, 0)
+        # The parent has not flushed, and the child must not flush for it.
+        assert not (trace_dir / f"trace-{os.getpid()}.json").exists()
+
+    def test_threads_flush_at_once(self, tmp_path):
+        obs.configure(tmp_path / "trace")
+        errors = []
+
+        def flush_often():
+            try:
+                for __ in range(50):
+                    with obs.span("thread.span"):
+                        pass
+                    obs.flush()
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=flush_often) for __ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert not list((tmp_path / "trace").glob("*.tmp-*"))
+
     def test_env_var_activates_and_disable_clears(self, tmp_path):
         os.environ[obs.ENV_VAR] = str(tmp_path / "envtrace")
         try:
@@ -475,7 +517,7 @@ class TestServeEndpoints:
             return int(head.split(b" ")[1]), head, rest
 
         async def body():
-            app = ServeApp(ResultStore(tmp_path), batch_interval=0.02)
+            app = ServeApp(ResultStore(tmp_path))
             port = await app.start("127.0.0.1", 0)
             try:
                 spec = {

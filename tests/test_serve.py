@@ -7,6 +7,7 @@ small so the whole module stays in the seconds range.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -28,20 +29,77 @@ from repro.serve import (
 )
 
 SCALE = RunScale(num_instructions=1200, warmup_instructions=600, seed=7)
-FAST_TICK = 0.02
+#: Two scales other than SCALE: one unit at each holds both batch slots.
+HOLD_SCALES = (RunScale(1000, 500, 7), RunScale(1100, 550, 7))
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-async def _with_scheduler(store, body, **kwargs):
-    scheduler = CoalescingScheduler(store, batch_interval=FAST_TICK, **kwargs)
+async def _with_scheduler(store, body):
+    scheduler = CoalescingScheduler(store)
     await scheduler.start()
     try:
         return await body(scheduler)
     finally:
         await scheduler.close()
+
+
+async def _until(predicate, timeout=30.0):
+    """Poll the loop until ``predicate()`` holds."""
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        if asyncio.get_running_loop().time() > deadline:
+            raise AssertionError("condition not reached before the timeout")
+        await asyncio.sleep(0.01)
+
+
+class _Gate:
+    """Holds ``ExperimentRunner.run_many`` calls until released.
+
+    ``calls`` lists the pairs each held call received, in arrival order;
+    ``set()`` opens the gate for good, ``release_one()`` lets one held
+    call through.
+    """
+
+    def __init__(self):
+        self.calls = []
+        self._cond = threading.Condition()
+        self._open = False
+        self._passes = 0
+
+    def set(self):
+        with self._cond:
+            self._open = True
+            self._cond.notify_all()
+
+    def release_one(self):
+        with self._cond:
+            self._passes += 1
+            self._cond.notify_all()
+
+    def hold(self, pairs):
+        with self._cond:
+            self.calls.append(list(pairs))
+            self._cond.wait_for(lambda: self._open or self._passes, timeout=60)
+            if not self._open and self._passes:
+                self._passes -= 1
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Hold every ``ExperimentRunner.run_many`` until the gate lets it go."""
+    held_calls = _Gate()
+    run_many = ExperimentRunner.run_many
+
+    def held(self, pairs, workers=None):
+        held_calls.hold(pairs)
+        return run_many(self, pairs, workers)
+
+    monkeypatch.setattr(ExperimentRunner, "run_many", held)
+    yield held_calls
+    held_calls.set()
 
 
 class TestCoalescingScheduler:
@@ -109,22 +167,117 @@ class TestCoalescingScheduler:
         assert stats["simulated"] == 3
         assert stats["batches"] == 1  # same batch signature, one run_many
 
-    def test_close_fails_pending_with_shutdown(self, tmp_path):
-        store = ResultStore(tmp_path)
-
-        async def body():
-            scheduler = CoalescingScheduler(store, batch_interval=3600)
-            await scheduler.start()
+    def test_a_miss_launches_its_batch_at_once(self, tmp_path):
+        async def body(scheduler):
             waiter = asyncio.ensure_future(
                 scheduler.resolve([WorkUnit("gzip", IQ_64_64, SCALE)])
             )
-            await asyncio.sleep(0.05)  # let the unit reach the pending queue
-            assert scheduler.pending == 1
-            await scheduler.close()
+            await asyncio.sleep(0)
+            launched = (scheduler.in_flight_batches, scheduler.pending)
+            await waiter
+            return launched
+
+        assert run(_with_scheduler(ResultStore(tmp_path), body)) == (1, 0)
+
+    def test_units_waiting_for_a_slot_run_as_one_batch(self, tmp_path, gate):
+        units = [
+            WorkUnit("gzip", IQ_64_64, SCALE),
+            WorkUnit("gzip", IF_DISTR, SCALE),
+            WorkUnit("mcf", IQ_64_64, SCALE),
+        ]
+
+        async def body(scheduler):
+            holders = [
+                asyncio.ensure_future(
+                    scheduler.resolve([WorkUnit("gzip", IQ_64_64, scale)])
+                )
+                for scale in HOLD_SCALES
+            ]
+            await asyncio.sleep(0)
+            assert scheduler.in_flight_batches == 2
+            waiters = [
+                asyncio.ensure_future(scheduler.resolve([unit]))
+                for unit in units
+            ]
+            await asyncio.sleep(0)
+            assert scheduler.pending == 3
+            gate.set()
+            await asyncio.gather(*holders)
+            outcomes = [(await waiter)[0] for waiter in waiters]
+            return outcomes, scheduler.stats_payload()
+
+        outcomes, stats = run(_with_scheduler(ResultStore(tmp_path), body))
+        assert [o.provenance for o in outcomes] == [PROVENANCE_SIMULATED] * 3
+        # One run_many per held unit, then one for all three waiters.
+        assert sorted(len(pairs) for pairs in gate.calls) == [1, 1, 3]
+        assert stats["batches"] == 3 and stats["simulated"] == 5
+        assert stats["pending"] == 0 and stats["in_flight_batches"] == 0
+
+    def test_a_freed_slot_takes_the_longest_waiting_signature(
+        self, tmp_path, gate
+    ):
+        # Queue a unit at the higher-sorting signature first: a freed
+        # slot must take it, not the lower-sorting one queued after it.
+        low, high = sorted(
+            (RunScale(900, 450, 7), RunScale(800, 400, 7)),
+            key=lambda scale: WorkUnit("gzip", IQ_64_64, scale).batch_signature(),
+        )
+
+        async def body(scheduler):
+            holders = [
+                asyncio.ensure_future(
+                    scheduler.resolve([WorkUnit("gzip", IQ_64_64, scale)])
+                )
+                for scale in HOLD_SCALES
+            ]
+            await asyncio.sleep(0)
+            first = asyncio.ensure_future(
+                scheduler.resolve([WorkUnit("gzip", IF_DISTR, high)])
+            )
+            await asyncio.sleep(0)
+            second = asyncio.ensure_future(
+                scheduler.resolve([WorkUnit("mcf", IQ_64_64, low)])
+            )
+            await asyncio.sleep(0)
+            assert scheduler.in_flight_batches == 2 and scheduler.pending == 2
+            gate.release_one()
+            await _until(lambda: len(gate.calls) == 3)
+            launched, waiting = gate.calls[2], scheduler.pending
+            gate.set()
+            await asyncio.gather(*holders, first, second)
+            return launched, waiting
+
+        launched, waiting = run(_with_scheduler(ResultStore(tmp_path), body))
+        assert launched == [("gzip", IF_DISTR)]
+        assert waiting == 1
+
+    def test_close_fails_pending_with_shutdown(self, tmp_path, gate):
+        store = ResultStore(tmp_path)
+
+        async def body():
+            scheduler = CoalescingScheduler(store)
+            await scheduler.start()
+            held = [
+                asyncio.ensure_future(
+                    scheduler.resolve([WorkUnit("gzip", IQ_64_64, scale)])
+                )
+                for scale in HOLD_SCALES
+            ]
+            waiter = asyncio.ensure_future(
+                scheduler.resolve([WorkUnit("gzip", IQ_64_64, SCALE)])
+            )
+            await asyncio.sleep(0)
+            assert scheduler.in_flight_batches == 2 and scheduler.pending == 1
+            closing = asyncio.ensure_future(scheduler.close())
             with pytest.raises(SchedulerShutdown):
                 await waiter
+            gate.set()
+            await closing
+            # The running batches drained: their waiters got real results.
+            drained = await asyncio.gather(*held)
+            return [outcomes[0].provenance for outcomes in drained]
 
-        run(body())
+        assert run(body()) == [PROVENANCE_SIMULATED] * 2
 
 
 class TestScheduledRunner:
@@ -248,10 +401,9 @@ SIM_SPEC = {
 
 
 class TestHttpService:
-    def test_duplicate_jobs_share_one_simulation(self, tmp_path):
+    def test_duplicate_jobs_share_one_simulation(self, tmp_path, gate):
         async def body():
-            app = ServeApp(ResultStore(tmp_path),
-                           batch_interval=FAST_TICK)
+            app = ServeApp(ResultStore(tmp_path))
             port = await app.start("127.0.0.1", 0)
             try:
                 posts = await asyncio.gather(
@@ -259,6 +411,9 @@ class TestHttpService:
                 )
                 assert [status for status, __ in posts] == [202] * 3
                 ids = [json.loads(body)["job"] for __, body in posts]
+                # The simulation runs only once both duplicates rode on it.
+                await _until(lambda: app.scheduler.counters.coalesced == 2)
+                gate.set()
                 summaries = [await _await_job(port, job_id) for job_id in ids]
                 assert [s["state"] for s in summaries] == ["done"] * 3
                 merged = {}
@@ -284,8 +439,7 @@ class TestHttpService:
 
     def test_warm_restart_server_simulates_nothing(self, tmp_path):
         async def cold():
-            app = ServeApp(ResultStore(tmp_path),
-                           batch_interval=FAST_TICK)
+            app = ServeApp(ResultStore(tmp_path))
             port = await app.start("127.0.0.1", 0)
             try:
                 __, body = await _post_json(port, "/v1/jobs", SIM_SPEC)
@@ -295,8 +449,7 @@ class TestHttpService:
                 await app.shutdown()
 
         async def warm():
-            app = ServeApp(ResultStore(tmp_path),
-                           batch_interval=FAST_TICK)
+            app = ServeApp(ResultStore(tmp_path))
             port = await app.start("127.0.0.1", 0)
             try:
                 __, body = await _post_json(port, "/v1/jobs", SIM_SPEC)
@@ -322,7 +475,7 @@ class TestHttpService:
 
     def test_cli_runner_reads_what_the_server_wrote(self, tmp_path):
         async def serve_one():
-            app = ServeApp(ResultStore(tmp_path), batch_interval=FAST_TICK)
+            app = ServeApp(ResultStore(tmp_path))
             port = await app.start("127.0.0.1", 0)
             try:
                 __, body = await _post_json(port, "/v1/jobs", SIM_SPEC)
@@ -346,7 +499,7 @@ class TestHttpService:
 
     def test_events_stream_carries_lifecycle_and_provenance(self, tmp_path):
         async def body():
-            app = ServeApp(ResultStore(tmp_path), batch_interval=FAST_TICK)
+            app = ServeApp(ResultStore(tmp_path))
             port = await app.start("127.0.0.1", 0)
             try:
                 __, posted = await _post_json(port, "/v1/jobs", SIM_SPEC)
@@ -377,8 +530,7 @@ class TestHttpService:
                          seed=7)
 
         async def body():
-            app = ServeApp(ResultStore(tmp_path / "served"),
-                           batch_interval=FAST_TICK)
+            app = ServeApp(ResultStore(tmp_path / "served"))
             port = await app.start("127.0.0.1", 0)
             try:
                 spec = {"type": "figures", "figures": [2], "scale": 1200,
@@ -453,24 +605,58 @@ class TestHttpService:
         assert statuses == [400] * 6
         assert missing == 404 and bad_path == 404
 
+    @pytest.mark.parametrize("spec", [
+        dict(SIM_SPEC, scale=1000),
+        {"type": "figures", "figures": [2], "scale": 1000},
+    ], ids=["simulation", "figures"])
+    def test_sampling_plan_too_big_for_the_scale_is_a_400(self, tmp_path, spec):
+        spec = dict(spec, sampling="slices=10,slice=500,warmup=300")
+
+        async def body():
+            app = ServeApp(ResultStore(tmp_path))
+            port = await app.start("127.0.0.1", 0)
+            try:
+                status, payload = await _post_json(port, "/v1/jobs", spec)
+                queued = len(app.jobs.jobs), app.scheduler.counters.units
+                return status, payload, queued
+            finally:
+                await app.shutdown()
+
+        status, payload, queued = run(body())
+        assert status == 400
+        assert b"the measured region holds only 500" in payload
+        assert queued == (0, 0)  # no job, no unit
+
 
 class TestGracefulShutdown:
-    def test_queued_jobs_fail_cleanly_and_tmp_swept(self, tmp_path):
+    def test_queued_jobs_fail_cleanly_and_tmp_swept(self, tmp_path, gate):
         async def body():
             store = ResultStore(tmp_path)
-            # A long batch interval keeps the unit queued, never batched.
-            app = ServeApp(store, batch_interval=3600)
+            app = ServeApp(store)
             port = await app.start("127.0.0.1", 0)
+            # Two jobs at other scales hold both batch slots, so the
+            # third job's unit stays queued.
+            held = []
+            for scale in HOLD_SCALES:
+                spec = dict(SIM_SPEC, scale=scale.num_instructions)
+                __, posted = await _post_json(port, "/v1/jobs", spec)
+                held.append(json.loads(posted)["job"])
+            await _until(lambda: app.scheduler.in_flight_batches == 2)
             __, posted = await _post_json(port, "/v1/jobs", SIM_SPEC)
             job_id = json.loads(posted)["job"]
-            await asyncio.sleep(0.1)  # unit reaches the pending queue
+            await _until(lambda: app.scheduler.pending == 1)
             orphan = tmp_path / "ab" / "leftover.tmp"
             orphan.parent.mkdir(parents=True, exist_ok=True)
             orphan.write_text("crashed writer")
-            await app.shutdown()
+            shutdown = asyncio.ensure_future(app.shutdown())
             job = app.jobs.jobs[job_id]
+            await _until(lambda: job.terminal)
+            gate.set()
+            await shutdown
             assert job.state == "failed"
             assert "shutting down" in job.error
+            # The held jobs' batches drained.
+            assert [app.jobs.jobs[i].state for i in held] == ["done", "done"]
             assert not orphan.exists()  # swept regardless of age
             with pytest.raises(SchedulerShutdown):
                 app.jobs.submit(SIM_SPEC)
