@@ -15,9 +15,7 @@ from __future__ import annotations
 from repro.analysis.engine import (
     AnalysisReport,
     default_root,
-    load_baseline,
     run_analysis,
-    write_baseline,
 )
 from repro.analysis.framework import Finding, Project, Rule, SourceFile
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID, resolve_rules
@@ -31,8 +29,6 @@ __all__ = [
     "Rule",
     "SourceFile",
     "default_root",
-    "load_baseline",
     "resolve_rules",
     "run_analysis",
-    "write_baseline",
 ]

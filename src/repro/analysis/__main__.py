@@ -7,11 +7,9 @@ Examples::
     python -m repro.analysis --rules skip-safety,determinism
     python -m repro.analysis path/to/file.py
     python -m repro.analysis --out report.json    # deterministic JSON
-    python -m repro.analysis --write-baseline known.json
-    python -m repro.analysis --baseline known.json
 
-Exit status: 0 when no unsuppressed (and unbaselined) findings, 1
-otherwise, 2 on usage errors.
+Exit status: 0 when no unsuppressed findings, 1 otherwise, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.engine import load_baseline, run_analysis, write_baseline
+from repro.analysis.engine import run_analysis
 from repro.analysis.rules import ALL_RULES, resolve_rules
 
 
@@ -42,16 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule table and exit"
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        help="baseline JSON: matching finding fingerprints don't fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        type=Path,
-        help="write current unsuppressed findings as a baseline, exit 0",
     )
     parser.add_argument("--out", type=Path, help="write the JSON report here")
     parser.add_argument(
@@ -82,28 +70,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
 
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-
     report = run_analysis(
         args.targets or None,
         base=Path.cwd() if args.targets else None,
         rules=rules,
-        baseline=baseline,
     )
-
-    if args.write_baseline:
-        write_baseline(args.write_baseline, report.findings)
-        print(
-            f"wrote baseline with {len(report.findings)} fingerprint(s) "
-            f"to {args.write_baseline}"
-        )
-        return 0
 
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -1,9 +1,9 @@
 """Analysis orchestration: discovery, suppression, reporting.
 
 ``run_analysis`` walks the target tree once, runs every applicable rule
-on every file, applies suppressions and the baseline, and assembles a
-deterministic report whose JSON form is byte-identical between two runs
-over the same tree.
+on every file, applies suppressions and assembles a deterministic
+report whose JSON form is byte-identical between two runs over the same
+tree.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from repro.analysis.framework import (
     apply_suppressions,
 )
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID
-from repro.experiments.store import atomic_write_json
 
-BASELINE_SCHEMA = "repro-analysis-baseline-v1"
 REPORT_SCHEMA = "repro-analysis-report-v1"
 
 
@@ -38,9 +36,8 @@ def default_root() -> Path:
 class AnalysisReport:
     """Everything one run produced, ready to render."""
 
-    findings: List[Finding]  # unsuppressed, post-baseline (the gate)
+    findings: List[Finding]  # unsuppressed (the gate)
     suppressed: List[Finding]
-    baselined: List[Finding]
     rules: List[str]
     files_analyzed: int
     file_relpaths: List[str] = field(default_factory=list)
@@ -53,7 +50,6 @@ class AnalysisReport:
         """Deterministic payload: no timestamps, no absolute paths — a
         rerun over the same tree must reproduce the bytes exactly."""
         return {
-            "baselined": [f.to_dict() for f in self.baselined],
             "files": self.file_relpaths,
             "files_analyzed": self.files_analyzed,
             "findings": [f.to_dict() for f in self.findings],
@@ -73,8 +69,7 @@ class AnalysisReport:
         lines.append(
             f"analysis: {self.files_analyzed} files, "
             f"{len(self.findings)} findings "
-            f"({len(self.suppressed)} suppressed, "
-            f"{len(self.baselined)} baselined)"
+            f"({len(self.suppressed)} suppressed)"
         )
         return "\n".join(lines)
 
@@ -117,29 +112,11 @@ def _module_for(path: Path, base: Path) -> Optional[str]:
     return ".".join(parts)
 
 
-def load_baseline(path: Path) -> Set[str]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(f"not a {BASELINE_SCHEMA} file: {path}")
-    return set(payload["fingerprints"])
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    atomic_write_json(
-        Path(path),
-        {
-            "fingerprints": sorted({f.fingerprint() for f in findings}),
-            "schema": BASELINE_SCHEMA,
-        },
-    )
-
-
 def run_analysis(
     targets: Optional[Sequence[Path]] = None,
     *,
     base: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Set[str]] = None,
 ) -> AnalysisReport:
     if targets is None:
         targets = [default_root()]
@@ -170,21 +147,10 @@ def run_analysis(
                 raw.extend(rule.check(sf, project))
 
     outcome = apply_suppressions(project, raw, RULES_BY_ID.keys())
-    active = sorted(outcome.active + outcome.meta)
-
-    baselined: List[Finding] = []
-    if baseline:
-        still_active: List[Finding] = []
-        for finding in active:
-            (baselined if finding.fingerprint() in baseline else still_active).append(
-                finding
-            )
-        active = still_active
 
     return AnalysisReport(
-        findings=active,
+        findings=sorted(outcome.active + outcome.meta),
         suppressed=outcome.suppressed,
-        baselined=baselined,
         rules=[rule.id for rule in rules],
         files_analyzed=len(project.files),
         file_relpaths=[sf.relpath for sf in project.files],

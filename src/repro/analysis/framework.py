@@ -49,7 +49,7 @@ class Finding:
     severity: str = SEVERITY_ERROR
 
     def fingerprint(self) -> str:
-        """Stable id for baselines: survives line drift, not rewording."""
+        """Stable id in the JSON report: survives line drift, not rewording."""
         raw = "|".join((self.rule, self.path, self.symbol, self.message))
         return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
 

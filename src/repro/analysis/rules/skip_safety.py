@@ -35,7 +35,6 @@ NEXT_FAMILY = frozenset(
     {
         "next_activity_cycle",
         "next_dispatch_activity_cycle",
-        "next_wakeup_cycle",
         "next_code_boundary",
         "next_event_cycle",
     }

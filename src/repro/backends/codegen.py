@@ -17,8 +17,7 @@ The generated module exposes ``make_step(processor)`` returning that
 ``Processor.step``. :func:`repro.core.engine.run_specialized` hands it
 to the one event-driven skipping loop,
 :func:`repro.core.engine.run_skipping` (quiescence proof,
-measured-delta interval accounting, pure-broadcast drain spans, fault
-hooks), so a specialized run is bit-identical to ``naive``/``skip`` by
+measured-delta interval accounting, fault hooks), so a specialized run is bit-identical to ``naive``/``skip`` by
 the same construction the skip kernel relies on.
 
 Inlining ground rules (the bit-identity contract):

@@ -19,9 +19,9 @@ function; see :data:`_KERNELS`):
     kernel then asks every stateful component for its
     ``next_activity_cycle()`` — the event wheel over the completion,
     broadcast and branch-resolution schedules, the I-cache fill timer,
-    functional-unit busy windows, MixBUFF chain-latency code boundaries
-    and LatFIFO estimate-driven placement — and jumps straight to the
-    earliest such event instead of spinning.
+    functional-unit busy windows and MixBUFF chain-latency code
+    boundaries — and jumps straight to the earliest such event instead
+    of spinning. A stalled LatFIFO FP placement never skips.
 
     Per-cycle accounting (issue-queue selection energy, ready-table
     polling, dispatch-stall counters, occupancy integration) still
@@ -35,13 +35,6 @@ function; see :data:`_KERNELS`):
     (``tests/test_kernel_equivalence.py`` and the golden-stats net
     enforce this).
 
-    Pure-broadcast drain spans extend the wheel: while every issue
-    queue is empty a pending result broadcast cannot wake anything — its
-    only effect is wakeup-energy accounting that is a pure function of
-    the broadcast count — so such broadcasts are *deferred* off the
-    wheel, the span jumps over them, and their accounting is replayed in
-    closed form (:meth:`Processor.drain_broadcasts`), still bit-identical.
-
 ``sampled`` (:func:`run_sampled`)
     Not a kernel but a third *execution mode*: detailed simulation of
     systematically chosen trace slices (driven through ``run_kernel``),
@@ -49,11 +42,11 @@ function; see :data:`_KERNELS`):
     estimates. See :mod:`repro.sampling`.
 
 Telemetry: each run fills ``processor.kernel_telemetry`` with the
-number of cycles actually executed vs. skipped (and broadcast cycles
-drained in closed form), so benchmarks can report how much simulated
-time the event wheel jumped over. This module sits inside the
-version-tag closure and must not import ``repro.obs``; the untagged
-experiments layer records each run's own telemetry into the registry.
+number of cycles actually executed vs. skipped, so benchmarks can report
+how much simulated time the event wheel jumped over. This module sits
+inside the version-tag closure and must not import ``repro.obs``; the
+untagged experiments layer records each run's own telemetry into the
+registry.
 """
 
 from __future__ import annotations
@@ -85,17 +78,11 @@ __all__ = [
 
 @dataclass
 class KernelTelemetry:
-    """How a run's simulated cycles were covered.
-
-    ``drained_broadcasts`` counts broadcast cycles accounted in closed
-    form inside skipped spans (pure-broadcast drain spans) — cycles the
-    naive kernel would have executed solely to accrue wakeup energy.
-    """
+    """How a run's simulated cycles were covered."""
 
     executed_cycles: int = 0
     skipped_cycles: int = 0
     skip_spans: int = 0
-    drained_broadcasts: int = 0
 
     @property
     def total_cycles(self) -> int:
@@ -106,14 +93,12 @@ class KernelTelemetry:
             "executed_cycles": self.executed_cycles,
             "skipped_cycles": self.skipped_cycles,
             "skip_spans": self.skip_spans,
-            "drained_broadcasts": self.drained_broadcasts,
         }
 
     def merge(self, other: "KernelTelemetry") -> None:
         self.executed_cycles += other.executed_cycles
         self.skipped_cycles += other.skipped_cycles
         self.skip_spans += other.skip_spans
-        self.drained_broadcasts += other.drained_broadcasts
 
 
 def _no_progress(processor, cycle: int, committed: int, total: int) -> SimulationError:
@@ -167,10 +152,7 @@ def run_skipping(processor, total: int, max_cycles: int, warmup_instructions: in
             continue
         # The cycle just executed was quiescent. Find the next cycle at
         # which any stage's decision could differ from replaying it.
-        # Inert result broadcasts (nothing resident in any issue queue
-        # to wake) are deferred off the wheel: the span may jump over
-        # them and their wakeup accounting replays in closed form below.
-        target = processor.next_event_cycle(cycle, defer_inert_broadcasts=True)
+        target = processor.next_event_cycle(cycle)
         if target is None:
             # Quiescent with nothing scheduled: the naive kernel would
             # spin to max_cycles and raise; fail fast instead.
@@ -199,12 +181,6 @@ def run_skipping(processor, total: int, max_cycles: int, warmup_instructions: in
                 # measured idle delta one cycle short on long spans.
                 replayed = span - 1
             processor.advance_idle(before, replayed)
-            # Replay any inert broadcasts inside the span *after* the
-            # measured-delta accounting, so their wakeup events accrue
-            # once each rather than being multiplied into the interval.
-            telemetry.drained_broadcasts += processor.drain_broadcasts(
-                cycle, cycle + span
-            )
             cycle += span
             telemetry.skipped_cycles += span
             telemetry.skip_spans += 1

@@ -277,9 +277,7 @@ class Processor:
     # ------------------------------------------------------------------
     # Event wheel and interval accounting (skipping-kernel support).
     # ------------------------------------------------------------------
-    def next_event_cycle(
-        self, cycle: int, defer_inert_broadcasts: bool = False
-    ) -> Optional[int]:
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest cycle ``>= cycle`` at which any stage could act again.
 
         ``cycle`` is the index of the next *unexecuted* cycle; an event
@@ -289,31 +287,13 @@ class Processor:
         result broadcasts and branch resolutions, the ROB head's
         completion, the I-cache fill timer, functional-unit busy windows
         and the scheme's own cycle-dependent boundaries (MixBUFF
-        chain-latency codes, LatFIFO estimate-driven placement). Returns
-        ``None`` when nothing is scheduled — a true deadlock.
-
-        With ``defer_inert_broadcasts`` set, pending result broadcasts
-        are taken off the wheel and replaced by the scheme's
-        ``next_wakeup_cycle`` contract — the earliest cycle a *waiting*
-        instruction's operands become ready. A broadcast before that
-        cycle is inert (it can wake nothing; its only effect is wakeup
-        accounting that is a pure function of frozen scoreboard state
-        and the cycle number), so the caller may jump a span containing
-        it and replay the accounting in closed form via
-        :meth:`drain_broadcasts` (pure-broadcast drain spans). If
-        deferred broadcasts are the *only* scheduled events they are
-        still returned, so deferral never manufactures a deadlock.
+        chain-latency codes; a stalled LatFIFO FP placement reports the
+        current cycle, so it never skips). Returns ``None`` when nothing
+        is scheduled — a true deadlock.
         """
         candidates = []
-        deferred = False
         if self._broadcasts:
-            if defer_inert_broadcasts:
-                deferred = True
-                wake = self.scheme.next_wakeup_cycle(cycle, self.scoreboard)
-                if wake is not None:
-                    candidates.append(wake)
-            else:
-                candidates.append(min(self._broadcasts))
+            candidates.append(min(self._broadcasts))
         if self._branch_resolutions:
             candidates.append(min(self._branch_resolutions))
         for component in (self.rob, self.fetch, self.fu_pool, self.lsq,
@@ -328,29 +308,7 @@ class Processor:
             if when is not None:
                 candidates.append(when)
         upcoming = [when for when in candidates if when >= cycle]
-        if not upcoming and deferred:
-            upcoming = [when for when in self._broadcasts if when >= cycle]
         return min(upcoming) if upcoming else None
-
-    def drain_broadcasts(self, start: int, end: int) -> int:
-        """Closed-form replay of inert broadcasts in ``[start, end)``.
-
-        Sound whenever ``end`` does not exceed the scheme's
-        ``next_wakeup_cycle`` (no waiting instruction's readiness
-        changes inside the span, so the broadcasts wake nothing) and the
-        span is otherwise quiescent (queue membership and the scoreboard
-        are frozen). Each pending broadcast cycle is popped from the
-        wheel and its ``on_result_broadcast`` accounting applied with
-        its own cycle number — a pure function of frozen state, so the
-        replay is bit-identical to executing the span. Returns the
-        number of drained cycles.
-        """
-        drained = 0
-        for when in sorted(self._broadcasts):
-            if start <= when < end:
-                self.scheme.on_result_broadcast(when, self._broadcasts.pop(when))
-                drained += 1
-        return drained
 
     def idle_accounting_snapshot(self) -> dict:
         """Snapshot of every counter a quiescent cycle can move."""

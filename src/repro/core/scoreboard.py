@@ -87,16 +87,6 @@ class Scoreboard:
         is_fp, index = phys
         return (self._fp if is_fp else self._int)[index] < _NEVER
 
-    def operands_ready_cycle(self, phys_list) -> int:
-        """Earliest cycle at which all operands are available (0 if none)."""
-        fp, intb = self._fp, self._int
-        latest = 0
-        for is_fp, index in phys_list:
-            r = (fp if is_fp else intb)[index]
-            if r > latest:
-                latest = r
-        return latest
-
     def next_activity_cycle(self, cycle: int) -> Optional[int]:
         """Skipping-kernel contract: readiness transitions need no timer.
 

@@ -573,11 +573,6 @@ def _run_selected(args, parser, scale, store, plan, numbers) -> None:
             f"kernel [{args.kernel}]: {kernel_tel.executed_cycles} cycles "
             f"executed, {kernel_tel.skipped_cycles} skipped "
             f"({skipped_pct:.1f}%) in {kernel_tel.skip_spans} spans"
-            + (
-                f", {kernel_tel.drained_broadcasts} broadcasts drained"
-                if kernel_tel.drained_broadcasts
-                else ""
-            )
         )
     if plan is not None:
         detailed = sum(

@@ -54,6 +54,7 @@ from repro.explore.drivers import (
     run_exploration,
     write_artifacts,
 )
+from repro.explore.space import STRATEGIES
 
 __all__ = ["main"]
 
@@ -70,7 +71,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--seed", type=int, default=11,
                         help="master seed: fixes sampling, refinement and "
                              "simulation streams (default 11)")
-    parser.add_argument("--strategy", choices=("grid", "random", "mixed"),
+    parser.add_argument("--strategy", choices=STRATEGIES,
                         default="mixed",
                         help="initial sampling strategy (default mixed: "
                              "half strided grid, half random)")

@@ -31,7 +31,7 @@ from repro.explore.objectives import (
     SuiteAggregator,
 )
 from repro.explore.pareto import pair_fronts, refine
-from repro.explore.space import DesignSpace, default_space
+from repro.explore.space import STRATEGIES, DesignSpace, default_space
 from repro.workloads.suites import (
     FP_BENCHMARKS,
     INT_BENCHMARKS,
@@ -124,6 +124,11 @@ class ExplorationSettings:
             raise ConfigurationError("need at least one sample")
         if self.rounds < 0:
             raise ConfigurationError("rounds cannot be negative")
+        if self.strategy not in STRATEGIES:
+            raise ConfigurationError(
+                f"unknown sampling strategy {self.strategy!r}; valid: "
+                + ", ".join(STRATEGIES)
+            )
         if self.neighbors_per_point < 1:
             raise ConfigurationError("need at least one neighbor per point")
         if not self.benchmarks:

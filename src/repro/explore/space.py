@@ -48,7 +48,10 @@ from repro.common.config import (
 from repro.common.errors import ConfigurationError
 from repro.common.rng import make_rng
 
-__all__ = ["Dimension", "DesignPoint", "DesignSpace", "default_space"]
+__all__ = ["STRATEGIES", "Dimension", "DesignPoint", "DesignSpace", "default_space"]
+
+#: Initial sampling strategies accepted by :meth:`DesignSpace.sample`.
+STRATEGIES = ("grid", "random", "mixed")
 
 
 @dataclass(frozen=True)
@@ -356,7 +359,8 @@ class DesignSpace:
                 n - half, seed
             )
         raise ConfigurationError(
-            f"unknown sampling strategy {strategy!r}; valid: grid, random, mixed"
+            f"unknown sampling strategy {strategy!r}; valid: "
+            + ", ".join(STRATEGIES)
         )
 
     # -- refinement ----------------------------------------------------

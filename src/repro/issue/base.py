@@ -128,15 +128,6 @@ class SideIdleCountersMixin:
         self.int_side.apply_idle_counters(before["int"], n_cycles)
         self.fp_side.apply_idle_counters(before["fp"], n_cycles)
 
-    def next_wakeup_cycle(self, cycle: int, scoreboard) -> Optional[int]:
-        """Earliest waiting-instruction wakeup across both sides."""
-        earliest: Optional[int] = None
-        for side in (self.int_side, self.fp_side):
-            when = side.next_wakeup_cycle(cycle, scoreboard)
-            if when is not None and (earliest is None or when < earliest):
-                earliest = when
-        return earliest
-
 
 class IssueScheme:
     """Base class for the four issue-queue organizations."""
@@ -199,34 +190,12 @@ class IssueScheme:
 
         ``None`` means placement can only be unblocked by activity the
         event wheel already tracks (an issue draining a queue, a commit
-        freeing the ROB). LatFIFO overrides this: its FP placement
-        compares a dispatch-time *estimate* that grows with the cycle
-        number, so a stalled placement can unstick by itself.
+        freeing the ROB). LatFIFO overrides this for FP instructions and
+        returns ``cycle`` (never skip): its FP placement compares a
+        dispatch-time *estimate* that grows with the cycle number, so a
+        stalled placement can unstick by itself.
         """
         return None
-
-    def next_wakeup_cycle(self, cycle: int, scoreboard) -> Optional[int]:
-        """Earliest cycle ``>= cycle`` a waiting instruction wakes up.
-
-        The minimum, over every resident instruction the scheme could
-        offer for issue, of the cycle at which all of its issue operands
-        become ready — ``None`` when no such transition is scheduled.
-        Instructions whose producers have not issued contribute nothing
-        (the producer's issue is pipeline activity), and transitions
-        before ``cycle`` contribute nothing (an already-ready
-        instruction that did not issue on the measured quiescent cycle
-        is pinned by a condition the wheel tracks elsewhere: a busy
-        functional unit, a budget, load disambiguation).
-
-        This is the deferral bound for pure-broadcast drain spans: the
-        skipping kernel may jump over result broadcasts strictly before
-        this cycle and replay their wakeup accounting in closed form.
-        The base implementation returns ``cycle`` — "assume a wakeup
-        immediately", which disables the optimization and is always
-        sound for schemes that have not audited their selection logic
-        against it.
-        """
-        return cycle
 
     def idle_counters(self) -> Dict[str, int]:
         """Snapshot of scheme-internal diagnostic counters a quiescent

@@ -163,26 +163,6 @@ class ConventionalIssueQueue(IssueScheme):
         """Give the scheme scoreboard access for wakeup accounting."""
         self._scoreboard = scoreboard
 
-    def next_wakeup_cycle(self, cycle: int, scoreboard) -> Optional[int]:
-        """Earliest scheduled all-operands-ready cycle among residents.
-
-        Any resident of the out-of-order queue may issue the cycle its
-        last operand becomes ready, so this is the minimum over *all*
-        entries of their scheduled readiness cycle, restricted to
-        ``>= cycle`` (an already-ready resident that did not issue is
-        pinned by functional units or budgets, which the wheel tracks)
-        and to scheduled producers (``NEVER`` rides the issue activity
-        of the producer itself). Distinct from the ready-bound cache of
-        :meth:`_scan_may_issue`, which wants the *unrestricted* minimum.
-        """
-        earliest: Optional[int] = None
-        for queue in (self._int_queue, self._fp_queue):
-            for uop in queue:
-                ready = scoreboard.operands_ready_cycle(uop.issue_srcs)
-                if cycle <= ready < NEVER and (earliest is None or ready < earliest):
-                    earliest = ready
-        return earliest
-
     # -- introspection -----------------------------------------------
     def occupancy(self) -> int:
         return len(self._int_queue) + len(self._fp_queue)

@@ -22,7 +22,6 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro.common.stats import StatCounters
-from repro.core.scoreboard import NEVER
 from repro.core.uop import InFlight
 from repro.issue.base import IssueContext
 from repro.issue.mapping import QueueRenameTable
@@ -142,23 +141,6 @@ class FifoSide:
         self.stalls_no_empty += n_cycles * (
             self.stalls_no_empty - before["stalls_no_empty"]
         )
-
-    def next_wakeup_cycle(self, cycle: int, scoreboard) -> Optional[int]:
-        """Earliest scheduled all-operands-ready cycle among the heads.
-
-        Only FIFO heads are candidates for issue, so only a *head*
-        becoming ready can turn a quiescent cycle live. Heads whose
-        producers have not issued are excluded (``NEVER``): the
-        producer's issue is activity the kernel never skips over.
-        """
-        earliest: Optional[int] = None
-        for queue in self.queues:
-            if not queue:
-                continue
-            ready = scoreboard.operands_ready_cycle(queue[0].issue_srcs)
-            if cycle <= ready < NEVER and (earliest is None or ready < earliest):
-                earliest = ready
-        return earliest
 
     # -- misc -----------------------------------------------------------
     def occupancy(self) -> int:

@@ -95,39 +95,15 @@ class LatFifoScheme(SideIdleCountersMixin, IssueScheme):
         self.fp_side.clear_mapping()
 
     def next_dispatch_activity_cycle(self, inst, cycle: int) -> Optional[int]:
-        """Skipping-kernel contract: when a stalled FP placement unsticks.
+        """Skipping-kernel contract: a stalled FP placement never skips.
 
-        FP placement compares the stalled instruction's *estimated* issue
-        cycle — ``max(cycle + 1, operand estimates)`` — against each
-        non-full queue's tail estimate, so a stall can dissolve purely by
-        the cycle number advancing. With frozen estimator state the
-        estimate's cycle term first beats a tail estimate ``T`` at cycle
-        ``T`` exactly, hence the earliest tail estimate over non-full
-        queues is the wake cycle.
-
-        Two cases cannot be predicted and fall back conservatively:
-
-        * a self-referential instruction (its destination is also a
-          source): the naive kernel re-runs the estimator every retry,
-          compounding the operand estimate, so we decline to skip
-          (``cycle + 1``);
-        * every queue full: placement then frees only via an issue,
-          which the event wheel already tracks (``None``).
+        FP placement compares an estimated issue cycle that grows with
+        the cycle number, so the stall can dissolve by itself; returning
+        ``cycle`` makes the kernel execute every such cycle. The integer
+        side is plain FIFO placement, unblocked only by issue activity
+        the event wheel already tracks.
         """
-        if not inst.op.is_fp:
-            return None  # integer side is plain FIFO placement
-        if inst.dest is not None and inst.dest in inst.srcs:
-            return cycle  # re-estimated every retry: never skip
-        side = self.fp_side
-        tails = [
-            side._tail_est[index] if queue else _EMPTY_TAIL
-            for index, queue in enumerate(side.queues)
-            if len(queue) < side.entries_per_queue
-        ]
-        if not tails:
-            return None
-        earliest = min(tails)
-        return earliest if earliest >= cycle else cycle
+        return cycle if inst.op.is_fp else None
 
     def occupancy(self) -> int:
         return self.int_side.occupancy() + self.fp_side.occupancy()

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import ProcessorConfig
 from repro.common.stats import StatCounters
-from repro.core.scoreboard import NEVER
 from repro.core.uop import InFlight
 from repro.isa.opcodes import latency_for
 from repro.issue.base import IssueContext, IssueScheme, SideIdleCountersMixin
@@ -252,23 +251,6 @@ class MixBuffSide:
                 for boundary in (completion - 1, completion):
                     if boundary >= cycle and (earliest is None or boundary < earliest):
                         earliest = boundary
-        return earliest
-
-    def next_wakeup_cycle(self, cycle: int, scoreboard) -> Optional[int]:
-        """Earliest scheduled all-operands-ready cycle among residents.
-
-        MixBUFF's selector considers *every* resident instruction (not
-        just FIFO heads), so any resident becoming ready is a potential
-        wake; producers not yet issued read as ``NEVER`` and contribute
-        nothing. Chain-code timing is a separate boundary reported by
-        :meth:`next_code_boundary`.
-        """
-        earliest: Optional[int] = None
-        for queue in self.queues:
-            for uop in queue:
-                ready = scoreboard.operands_ready_cycle(uop.issue_srcs)
-                if cycle <= ready < NEVER and (earliest is None or ready < earliest):
-                    earliest = ready
         return earliest
 
     # -- misc -------------------------------------------------------------

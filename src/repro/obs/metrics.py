@@ -53,14 +53,11 @@ CYCLE_BUCKETS: Tuple[float, ...] = (
 SPAN_COUNT_BUCKETS: Tuple[float, ...] = (1.0, 10.0, 100.0, 1_000.0, 10_000.0)
 SECONDS_BUCKETS: Tuple[float, ...] = (0.001, 0.01, 0.1, 1.0, 10.0, 60.0)
 
-_KERNEL_FIELDS = (
-    "executed_cycles", "skipped_cycles", "skip_spans", "drained_broadcasts"
-)
+_KERNEL_FIELDS = ("executed_cycles", "skipped_cycles", "skip_spans")
 _KERNEL_RUN_BUCKETS = {
     "executed_cycles": CYCLE_BUCKETS,
     "skipped_cycles": CYCLE_BUCKETS,
     "skip_spans": SPAN_COUNT_BUCKETS,
-    "drained_broadcasts": SPAN_COUNT_BUCKETS,
 }
 
 

@@ -150,6 +150,8 @@ class HttpFrontend:
             body_length = int(length)
         except ValueError as exc:
             raise _BadRequest(400, f"bad Content-Length: {length!r}") from exc
+        if body_length < 0:
+            raise _BadRequest(400, f"bad Content-Length: {length!r}")
         if body_length > MAX_BODY_BYTES:
             raise _BadRequest(413, "request body too large")
         body = await reader.readexactly(body_length) if body_length else b""

@@ -1,5 +1,5 @@
 """Framework-level tests for ``repro.analysis``: suppression handling,
-report determinism, baselines, and the CLI contract."""
+report determinism and the CLI contract."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import pytest
 
 from repro.analysis import run_analysis
 from repro.analysis.__main__ import main
-from repro.analysis.engine import load_baseline, write_baseline
 
 BAD_CLOCK = "# repro-fixture-module: repro.core.clocky\nimport time\n\n\ndef now():\n    return time.time()\n"
 
@@ -119,21 +118,6 @@ class TestReport:
         assert [f.rule for f in second.findings] == ["determinism"]
 
 
-class TestBaseline:
-    def test_baseline_filters_known_fingerprints(self, tmp_path):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        _write(tree, "mod.py", BAD_CLOCK)
-        report = run_analysis([tree], base=tree)
-        assert report.exit_code == 1
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, report.findings)
-        rerun = run_analysis([tree], base=tree, baseline=load_baseline(baseline_path))
-        assert rerun.findings == []
-        assert len(rerun.baselined) == 1
-        assert rerun.exit_code == 0
-
-
 class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -153,9 +137,12 @@ class TestCli:
         assert "unknown rule id" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags", (["--no-cache"], ["--cache-dir", "cache"]), ids=("no-cache", "cache-dir")
+        "flags",
+        (["--no-cache"], ["--cache-dir", "cache"], ["--baseline", "x"],
+         ["--write-baseline", "x"]),
+        ids=("no-cache", "cache-dir", "baseline", "write-baseline"),
     )
-    def test_removed_cache_flags_are_usage_errors(self, tmp_path, capsys, flags):
+    def test_removed_flags_are_usage_errors(self, tmp_path, capsys, flags):
         # CI requires each known-bad fixture to exit exactly 1; a stale
         # flag must exit 2 rather than pass as a finding.
         with pytest.raises(SystemExit) as excinfo:
@@ -184,14 +171,20 @@ class TestCli:
         assert payload["schema"] == "repro-analysis-report-v1"
         assert [f["rule"] for f in payload["findings"]] == ["determinism"]
 
-    def test_write_then_use_baseline_via_cli(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty"
-        dirty.mkdir()
-        _write(dirty, "mod.py", BAD_CLOCK)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(dirty), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        assert main([str(dirty), "--baseline", str(baseline)]) == 0
+    def test_text_summary_counts_files_findings_and_suppressions(
+        self, tmp_path, capsys
+    ):
+        _write(tmp_path, "clock.py", BAD_CLOCK)
+        _write(
+            tmp_path,
+            "allowed.py",
+            BAD_CLOCK.replace("time.time()", "time.time()  # repro: allow[determinism]"),
+        )
+        assert main([str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert "clock.py:6:" in lines[0] and ": determinism: " in lines[0]
+        assert lines[1] == "analysis: 2 files, 1 findings (1 suppressed)"
 
 
 class TestFixtureModulePragma:
@@ -203,7 +196,7 @@ class TestFixtureModulePragma:
         assert report.findings == []
 
 
-@pytest.mark.parametrize("flag", ["--rules", "--list-rules", "--baseline", "--out"])
+@pytest.mark.parametrize("flag", ["--rules", "--list-rules", "--out", "--format"])
 def test_help_mentions_documented_flags(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

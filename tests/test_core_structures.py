@@ -114,12 +114,11 @@ class TestScoreboard:
         assert not sb.is_ready((False, 3), 1000)
         assert not sb.is_scheduled((False, 3))
 
-    def test_all_ready_and_operands_ready_cycle(self):
+    def test_all_ready(self):
         sb = Scoreboard(160, 160, 32, 32)
         sb.set_ready((False, 40), 5)
         sb.set_ready((True, 50), 9)
         operands = [(False, 40), (True, 50)]
-        assert sb.operands_ready_cycle(operands) == 9
         assert not sb.all_ready(operands, 8)
         assert sb.all_ready(operands, 9)
 

@@ -17,6 +17,7 @@ from repro.explore.drivers import (
     write_artifacts,
 )
 from repro.explore.objectives import OBJECTIVES, PointScore
+from repro.explore.space import STRATEGIES
 from repro.workloads.suites import STRESS_BENCHMARKS
 
 
@@ -103,6 +104,8 @@ class TestRunExploration:
             ExplorationSettings(epsilon=-0.5).validate()
         with pytest.raises(ConfigurationError):
             ExplorationSettings(frontier_budget=0).validate()
+        with pytest.raises(ConfigurationError, match="unknown sampling strategy"):
+            ExplorationSettings(strategy="bogus").validate()
 
     def test_settings_dict_omits_defaulted_diversity_knobs(self):
         # Frozen artifact schema: pre-aggregate explorations must keep
@@ -345,6 +348,32 @@ class TestCli:
             explore_main(["--kernel", kernel, "--no-cache",
                           "--out", str(tmp_path)])
         assert [settings.kernel for settings in seen] == [kernel]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_cli_accepts_every_strategy(self, tmp_path, monkeypatch, strategy):
+        from repro.explore import __main__ as cli
+
+        seen = []
+
+        class Parsed(Exception):
+            pass
+
+        def capture(settings, store):
+            seen.append(settings)
+            raise Parsed
+
+        monkeypatch.setattr(cli, "run_exploration", capture)
+        with pytest.raises(Parsed):
+            explore_main(["--strategy", strategy, "--no-cache",
+                          "--out", str(tmp_path)])
+        assert [settings.strategy for settings in seen] == [strategy]
+        seen[0].validate()
+
+    def test_cli_rejects_unknown_strategy(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            explore_main(["--strategy", "bogus", "--out", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_cli_rejects_unknown_kernel(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exited:

@@ -9,8 +9,9 @@ drive all of them over a randomized matrix of (benchmark, scale, seed)
 x all four issue schemes (stress profiles included), and over every
 scheme configuration the paper's figures simulate, and require
 field-for-field equality of ``SimulationStats`` (events included), plus
-sanity checks on kernel telemetry, drain-span and sampled-slice
-behaviour, and the cache-key neutrality of the kernel knob.
+sanity checks on kernel telemetry, the wake-source hooks and
+sampled-slice behaviour, and the cache-key neutrality of the kernel
+knob.
 """
 
 import random
@@ -40,6 +41,8 @@ from repro.sampling import SamplingPlan
 from repro.workloads.generator import generate_trace
 from repro.workloads.prewarm import prewarm
 from repro.workloads.suites import STRESS_BENCHMARKS, get_profile
+
+from tests.util import alu, f, fpalu, r
 
 #: Every kernel that must be differenced against the naive reference.
 NON_NAIVE_KERNELS = (KERNEL_SKIP, KERNEL_SPECIALIZED)
@@ -219,109 +222,6 @@ class TestReadyBoundShortCircuit:
         assert optimized.to_dict() == plain.to_dict()
 
 
-class TestBroadcastDrainSpans:
-    """Closed-form accounting of pure-broadcast drain spans.
-
-    The skipping kernel defers result broadcasts off the event wheel
-    while no waiting instruction can wake (the scheme's
-    ``next_wakeup_cycle`` contract) and replays their wakeup accounting
-    in closed form. The differential matrices above already pin
-    bit-identity; these tests pin that the optimization actually
-    engages and that its telemetry is consistent.
-    """
-
-    def test_drain_engages_across_the_matrix(self):
-        # The optimization fires on drains where every in-flight
-        # completion has already left the queues; require it somewhere
-        # in the matrix so a regression to "never drains" is caught.
-        drained = 0
-        for bench, length, seed in RUN_MATRIX:
-            for scheme in ALL_SCHEMES.values():
-                __, processor = _run(bench, length, seed, scheme, KERNEL_SKIP)
-                telemetry = processor.kernel_telemetry
-                drained += telemetry.drained_broadcasts
-                # A drained broadcast only ever rides a skipped span.
-                if telemetry.drained_broadcasts:
-                    assert telemetry.skip_spans > 0
-        assert drained > 0
-
-    def test_naive_kernel_never_drains(self):
-        __, processor = _run("mcf", 2000, 11, IQ_64_64, KERNEL_NAIVE)
-        assert processor.kernel_telemetry.drained_broadcasts == 0
-
-    @pytest.mark.parametrize("kernel", (KERNEL_SPECIALIZED,))
-    @pytest.mark.parametrize("scheme_name", sorted(ALL_SCHEMES))
-    def test_backend_drain_spans_match_skip(self, kernel, scheme_name):
-        # The generated step runs under the skip kernel's loop, so on
-        # the repo's best skipping case its span decisions — executed,
-        # skipped, span count AND closed-form drained broadcasts — must
-        # be cycle-for-cycle the ones the skip kernel makes.
-        scheme = ALL_SCHEMES[scheme_name]
-        __, skip_proc = _run("ptrchase", 1200, 11, scheme, KERNEL_SKIP)
-        __, backend_proc = _run("ptrchase", 1200, 11, scheme, kernel)
-        assert skip_proc.kernel_telemetry.as_dict() == (
-            backend_proc.kernel_telemetry.as_dict()
-        )
-        assert backend_proc.kernel_telemetry.skipped_cycles > 0
-
-    def test_wakeup_bound_never_precedes_first_broadcast(self):
-        # next_wakeup_cycle returns a *scheduled* readiness transition,
-        # and every scheduled transition rides a pending broadcast —
-        # so deferral can never move an event earlier than the wheel
-        # had it (the soundness invariant of the drain).
-        from repro.workloads.generator import generate_trace
-        from repro.workloads.prewarm import prewarm as _prewarm
-
-        profile = get_profile("mesa")
-        trace = generate_trace(profile, 1200, seed=5)
-        processor = Processor(default_config(IQ_64_64), trace)
-        _prewarm(processor.hierarchy, profile, 5)
-
-        original = Processor.next_event_cycle
-
-        def checked(self, cycle, defer_inert_broadcasts=False):
-            if defer_inert_broadcasts and self._broadcasts:
-                wake = self.scheme.next_wakeup_cycle(cycle, self.scoreboard)
-                if wake is not None:
-                    assert wake >= min(self._broadcasts)
-            return original(self, cycle, defer_inert_broadcasts)
-
-        Processor.next_event_cycle = checked
-        try:
-            processor.run(warmup_instructions=400)
-        finally:
-            Processor.next_event_cycle = original
-
-    def test_base_scheme_contract_disables_deferral_soundly(self, monkeypatch):
-        # A scheme that has not audited its selection logic inherits the
-        # base next_wakeup_cycle of "wake immediately": broadcasts stay
-        # on the wheel (no drains) and results remain bit-identical.
-        import repro.issue.base as base_mod
-        import repro.issue.conventional as conv
-        from repro.issue.base import IssueScheme
-
-        results = {}
-        for patched in (False, True):
-            if patched:
-                monkeypatch.setattr(
-                    conv.ConventionalIssueQueue,
-                    "next_wakeup_cycle",
-                    IssueScheme.next_wakeup_cycle,
-                )
-                monkeypatch.setattr(
-                    base_mod.SideIdleCountersMixin,
-                    "next_wakeup_cycle",
-                    IssueScheme.next_wakeup_cycle,
-                )
-            for name, scheme in ALL_SCHEMES.items():
-                stats, proc = _run("mcf", 1200, 3, scheme, KERNEL_SKIP)
-                results.setdefault(name, []).append(stats.to_dict())
-                if patched:
-                    assert proc.kernel_telemetry.drained_broadcasts == 0
-        for name, (optimized, plain) in results.items():
-            assert optimized == plain, name
-
-
 class TestKernelTelemetry:
     def test_skip_kernel_actually_skips_on_memory_bound_run(self):
         __, processor = _run("mcf", 2000, 11, IQ_64_64, KERNEL_SKIP)
@@ -346,6 +246,53 @@ class TestKernelTelemetry:
             == skip_proc.kernel_telemetry.total_cycles
         )
         assert naive_stats.cycles == skip_stats.cycles
+
+    @pytest.mark.parametrize("scheme_name", sorted(ALL_SCHEMES))
+    def test_specialized_makes_the_skip_kernels_span_decisions(self, scheme_name):
+        # The generated step runs under the skip kernel's loop, so on
+        # the repo's best skipping case its span decisions — executed,
+        # skipped and span count — must be cycle-for-cycle the ones the
+        # skip kernel makes.
+        scheme = ALL_SCHEMES[scheme_name]
+        __, skip_proc = _run("ptrchase", 1200, 11, scheme, KERNEL_SKIP)
+        __, specialized_proc = _run("ptrchase", 1200, 11, scheme,
+                                    KERNEL_SPECIALIZED)
+        assert skip_proc.kernel_telemetry.as_dict() == (
+            specialized_proc.kernel_telemetry.as_dict()
+        )
+        assert specialized_proc.kernel_telemetry.skipped_cycles > 0
+
+
+class TestWakeSources:
+    def test_stalled_latfifo_fp_placement_never_skips(self):
+        # LatFIFO's FP placement compares an estimate that grows with
+        # the cycle number, so a stalled FP instruction reports the
+        # current cycle (no skip); an integer stall waits on issue
+        # activity the event wheel already tracks.
+        from repro.common.stats import StatCounters
+        from repro.issue.latfifo import LatFifoScheme
+
+        scheme = LatFifoScheme(default_config(LATFIFO_8x8_8x16), StatCounters())
+        fp_op = fpalu(0, f(1), [f(2), f(3)])
+        int_op = alu(1, r(1), [r(2)])
+        assert scheme.next_dispatch_activity_cycle(fp_op, 37) == 37
+        assert scheme.next_dispatch_activity_cycle(int_op, 37) is None
+
+    @pytest.mark.parametrize("scheme_name", sorted(ALL_SCHEMES))
+    def test_never_skip_answer_is_sound(self, monkeypatch, scheme_name):
+        # Reporting ``cycle`` from a wake hook ("never skip") is the
+        # answer an unaudited scheme can always give, and the one a
+        # stalled LatFIFO FP placement gives: the kernel then executes
+        # every cycle, and no statistic changes.
+        scheme = ALL_SCHEMES[scheme_name]
+        audited, audited_proc = _run("ptrchase", 1200, 11, scheme, KERNEL_SKIP)
+        assert audited_proc.kernel_telemetry.skipped_cycles > 0
+        monkeypatch.setattr(type(audited_proc.scheme), "next_activity_cycle",
+                            lambda self, cycle: cycle)
+        never, never_proc = _run("ptrchase", 1200, 11, scheme, KERNEL_SKIP)
+        assert never_proc.kernel_telemetry.skipped_cycles == 0
+        assert never_proc.kernel_telemetry.skip_spans == 0
+        assert never.to_dict() == audited.to_dict()
 
 
 class TestPlantedSkipFault:

@@ -116,7 +116,6 @@ class TestMetricsRegistry:
             "executed_cycles": 10,
             "skipped_cycles": 90,
             "skip_spans": 4,
-            "drained_broadcasts": 0,
         }
         obs.record_kernel_delta("skip", delta)
         obs.record_kernel_delta("naive", {**delta, "skipped_cycles": 0})

@@ -590,6 +590,8 @@ class TestHttpService:
                     {"type": "simulation", "benchmark": "gzip",
                      "scheme": "IQ_64_64", "surprise": 1},
                     ["not", "an", "object"],
+                    {"type": "exploration", "strategy": "bogus",
+                     "samples": 2, "rounds": 0, "scale": 1000},
                 ]
                 statuses = [
                     (await _post_json(port, "/v1/jobs", case))[0]
@@ -597,13 +599,14 @@ class TestHttpService:
                 ]
                 missing = await _request(port, "GET", "/v1/jobs/none")
                 bad_path = await _request(port, "GET", "/v1/nope")
-                return statuses, missing[0], bad_path[0]
+                return statuses, missing[0], bad_path[0], len(app.jobs.jobs)
             finally:
                 await app.shutdown()
 
-        statuses, missing, bad_path = run(body())
-        assert statuses == [400] * 6
+        statuses, missing, bad_path, jobs = run(body())
+        assert statuses == [400] * 7
         assert missing == 404 and bad_path == 404
+        assert jobs == 0
 
     @pytest.mark.parametrize("spec", [
         dict(SIM_SPEC, scale=1000),
@@ -626,6 +629,31 @@ class TestHttpService:
         assert status == 400
         assert b"the measured region holds only 500" in payload
         assert queued == (0, 0)  # no job, no unit
+
+    def test_negative_content_length_is_a_400(self, tmp_path):
+        async def body():
+            app = ServeApp(ResultStore(tmp_path))
+            port = await app.start("127.0.0.1", 0)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(
+                    b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: -1\r\n\r\n"
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                await writer.wait_closed()
+                return raw, len(app.jobs.jobs)
+            finally:
+                await app.shutdown()
+
+        raw, jobs = run(body())
+        assert raw.startswith(b"HTTP/1.1 400")
+        assert b"bad Content-Length" in raw
+        assert jobs == 0
 
 
 class TestGracefulShutdown:
