@@ -3,7 +3,7 @@
 The dynamic nets (goldens, differential oracles, fault injection) catch
 an invariant violation only when a workload exercises it; this package
 proves the same contracts at the source level — skip-safety,
-determinism, fingerprint/version-tag completeness, checkpoint
+determinism, fingerprint/version-tag completeness, warm-state
 cycle-freedom, serve async hygiene, telemetry hygiene.
 
 Entry points: ``python -m repro.analysis`` (CLI) and

@@ -1,12 +1,11 @@
-"""Checkpoint cycle-freedom (ROADMAP "Invariants").
+"""Warm-state cycle-freedom (ROADMAP "Invariants").
 
-Warm-state checkpoints are functional-only: positions, table contents,
-histories — never cycle numbers.  A checkpoint restored into a fresh
-``Processor`` replays from cycle 0, so any cycle-number-typed payload
-is stale on arrival and, worse, makes checkpoints non-shareable across
-issue schemes whose detailed timing differs.  This rule inspects
-``state_snapshot`` payloads and warm-state dataclasses for
-cycle/tick/timestamp-named fields.
+Warm states are functional-only: positions, table contents, histories —
+never cycle numbers.  A sampled slice restores its warm state into a
+fresh ``Processor`` that runs from cycle 0, so any cycle-number-typed
+payload is stale on arrival.  This rule inspects ``state_snapshot``
+payloads and warm-state dataclasses for cycle/tick/timestamp-named
+fields.  (Its id keeps the older name, ``checkpoint-cycle-free``.)
 """
 
 from __future__ import annotations
@@ -57,9 +56,8 @@ class CheckpointCycleFreeRule(Rule):
         "carry cycle-number-typed fields"
     )
     rationale = (
-        "Checkpoints restore into a fresh Processor at cycle 0 and are "
-        "shared across issue schemes; a smuggled cycle number is stale "
-        "on restore and breaks cross-scheme sharing."
+        "Warm states restore into a fresh Processor at cycle 0; a "
+        "smuggled cycle number is stale on restore."
     )
 
     def applies(self, source: SourceFile, project: Project) -> bool:
@@ -97,7 +95,7 @@ class CheckpointCycleFreeRule(Rule):
                                 (
                                     f"state_snapshot payload key "
                                     f"'{key.value}' carries a cycle-typed "
-                                    f"value — checkpoints must be "
+                                    f"value — warm states must be "
                                     f"functional-only"
                                 ),
                                 symbol=f"{SNAPSHOT_METHOD}.{key.value}",
@@ -112,7 +110,7 @@ class CheckpointCycleFreeRule(Rule):
                             (
                                 f"state_snapshot reads '.{node.attr}' — a "
                                 f"cycle-typed value must not flow into a "
-                                f"checkpoint payload"
+                                f"warm-state payload"
                             ),
                             symbol=f"{SNAPSHOT_METHOD}.{node.attr}",
                         )
@@ -133,7 +131,7 @@ class CheckpointCycleFreeRule(Rule):
                             (
                                 f"warm-state field "
                                 f"'{node.name}.{item.target.id}' is "
-                                f"cycle-typed — checkpoints restore at "
+                                f"cycle-typed — warm states restore at "
                                 f"cycle 0, so the value is stale on arrival"
                             ),
                             symbol=f"{node.name}.{item.target.id}",

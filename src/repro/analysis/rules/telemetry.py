@@ -9,11 +9,9 @@ that way:
    version tags must never import ``repro.obs``. If they did, an edit
    to the (un-hashed) observability layer could change simulated
    behaviour without invalidating cached results, and telemetry state
-   could leak into statistics. Tagged code that wants a counter calls
-   the :func:`repro.experiments.store.record_cache_event` seam (the
-   store is the one audited exemption from the closure) or keeps plain
-   per-run counters (``processor.kernel_telemetry``) for the untagged
-   layer to record.
+   could leak into statistics. Tagged code that wants a counter keeps
+   plain per-run counters (``processor.kernel_telemetry``) for the
+   untagged layer to record.
 
 2. **Wall-clock quarantine** — ``repro.obs.clock`` is the only place in
    the ``repro`` tree allowed to read wall clocks. The deterministic

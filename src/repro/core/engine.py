@@ -225,7 +225,7 @@ The contract each kernel keeps:
   (``tests/test_kernel_equivalence.py``) and the discovery
   kernel-equivalence oracle enforce this.
 * A kernel touches only state private to the processor it is handed:
-  checkpoints restored before ``Processor.run`` (sampled slices) and
+  warm states restored before ``Processor.run`` (sampled slices) and
   prewarm memoization touch the memory hierarchy and predictor only.
 * Kernel names validate through ``ProcessorConfig.kernel`` and stay out
   of cache fingerprints; the kernel sources (this module and
@@ -242,7 +242,6 @@ def run_sampled(
     measure_end: int,
     profile=None,
     prewarm_seed=None,
-    checkpoints=None,
 ):
     """Sampled execution mode: fast-forward between detailed slices.
 
@@ -251,8 +250,8 @@ def run_sampled(
     (detailed warm-up included) through :func:`run_kernel` on
     re-sequenced sub-traces, and covers the gaps with *functional*
     fast-forward — caches and branch predictor stay architecturally warm
-    via :class:`repro.sampling.ffwd.FunctionalWarmer`, with snapshots
-    optionally checkpointed so later runs resume instead of re-warming.
+    via :class:`repro.sampling.ffwd.FunctionalWarmer`, which walks the
+    trace in memory to each slice start; warm states are never persisted.
 
     ``[measure_begin, measure_end)`` is the committed-instruction region
     the estimates must cover (the full run's post-warm-up portion).
@@ -270,11 +269,7 @@ def run_sampled(
 
     windows = plan.slice_windows(measure_begin, measure_end)
     warmer = FunctionalWarmer(
-        config,
-        trace,
-        profile=profile,
-        prewarm_seed=prewarm_seed,
-        checkpoints=checkpoints,
+        config, trace, profile=profile, prewarm_seed=prewarm_seed
     )
     # Each slice trace extends past the measured window by one pipeline's
     # worth of instructions and the run stops mid-flight at the window's

@@ -43,8 +43,8 @@ flattens every figure into ``(figure, title, series/column/row, value)``
 records. ``--output-path`` overrides the default ``campaign.json`` /
 ``campaign.csv``.
 
-``--sampling [SPEC]`` switches every simulation to the checkpointed
-sampled execution mode (:mod:`repro.sampling`): figures are computed
+``--sampling [SPEC]`` switches every simulation to the sampled
+execution mode (:mod:`repro.sampling`): figures are computed
 from error-bounded estimates at a fraction of the detailed cycles. SPEC
 is ``key=value,...`` over ``mode, slices, slice, warmup, confidence,
 seed, error`` (bare ``--sampling`` = plan defaults). Adding

@@ -38,14 +38,7 @@ from repro.common.stats import SimulationStats
 #: avoid importing the runner in the parent before workers fork/spawn).
 _SchemeOrConfig = Union[IssueSchemeConfig, ProcessorConfig]
 
-__all__ = ["simulate_matrix", "worker_count"]
-
-
-def worker_count(requested: int = 0) -> int:
-    """Effective worker count: ``requested``, or all-but-one CPU if 0."""
-    if requested > 0:
-        return requested
-    return max(1, (multiprocessing.cpu_count() or 2) - 1)
+__all__ = ["simulate_matrix"]
 
 
 def _init_worker() -> None:
@@ -74,14 +67,14 @@ def _init_worker() -> None:
 _DRAIN_POLL_SECONDS = 0.25
 
 
-def _drain_pool(pool, async_result, sweep_roots: Sequence[Optional[str]]):
+def _drain_pool(pool, async_result, sweep_root: Optional[str]):
     """Wait for a batch, draining gracefully on interrupt.
 
     Normal path: poll until every job is done and return the payload
     list. On ``KeyboardInterrupt`` (SIGINT reached the parent) the pool
     is terminated — the workers ignored the signal and would otherwise
     keep simulating — joined, and any atomic-write temp files the killed
-    workers orphaned under ``sweep_roots`` (trace spills, checkpoints)
+    workers orphaned under ``sweep_root`` (the trace spill directory)
     are swept immediately before the interrupt propagates, so an
     interrupted campaign leaves no debris behind.
     """
@@ -94,9 +87,8 @@ def _drain_pool(pool, async_result, sweep_roots: Sequence[Optional[str]]):
         pool.join()
         from repro.experiments.store import sweep_stale_tmp
 
-        for root in sweep_roots:
-            if root is not None:
-                sweep_stale_tmp(root, max_age=0.0)
+        if sweep_root is not None:
+            sweep_stale_tmp(sweep_root, max_age=0.0)
         raise
 
 
@@ -111,7 +103,7 @@ def _run_job(job: tuple) -> dict:
     # module stays cheap and spawn-based workers re-import lazily.
     from repro.experiments.runner import execute_pair
 
-    benchmark, scheme, scale, kernel, trace_dir, sampling, checkpoint_dir = job
+    benchmark, scheme, scale, kernel, trace_dir, sampling = job
     metrics_before = obs.get_registry().snapshot()
     stats, sampled = execute_pair(
         benchmark,
@@ -120,7 +112,6 @@ def _run_job(job: tuple) -> dict:
         kernel=kernel,
         sampling=sampling,
         trace_dir=trace_dir,
-        checkpoint_dir=checkpoint_dir,
     )
     payload = {
         "stats": stats.to_dict(),
@@ -143,7 +134,6 @@ def simulate_matrix(
     kernel: Optional[str] = None,
     trace_dir: Optional[str] = None,
     sampling=None,
-    checkpoint_dir: Optional[str] = None,
 ) -> List:
     """Simulate every (benchmark, scheme) pair; results in input order.
 
@@ -158,9 +148,7 @@ def simulate_matrix(
     every job to the sampled execution mode; the return value is then a
     list of :class:`~repro.sampling.estimator.SampledStats` (estimate
     record plus synthesized stats) instead of plain
-    :class:`SimulationStats`, and ``checkpoint_dir`` shares warm-state
-    checkpoints across the fleet (atomic writes make concurrent workers
-    safe).
+    :class:`SimulationStats`.
     """
     if trace_dir is not None:
         from repro.workloads.spill import materialize_trace
@@ -174,10 +162,10 @@ def simulate_matrix(
                 trace_dir, get_profile(benchmark), scale.num_instructions, scale.seed
             )
     jobs = [
-        (benchmark, scheme, scale, kernel, trace_dir, sampling, checkpoint_dir)
+        (benchmark, scheme, scale, kernel, trace_dir, sampling)
         for benchmark, scheme in pairs
     ]
-    if not jobs or worker_count(workers) <= 1:
+    if not jobs or workers <= 1:
         payloads = [_run_job(job) for job in jobs]
         # In-process execution already updated the metrics registry
         # directly — merging would double-count.
@@ -185,14 +173,11 @@ def simulate_matrix(
             payload.pop("metrics", None)
     else:
         with multiprocessing.Pool(
-            processes=min(worker_count(workers), len(jobs)),
-            initializer=_init_worker,
+            processes=min(workers, len(jobs)), initializer=_init_worker
         ) as pool:
             async_result = pool.map_async(_run_job, jobs, chunksize=1)
             pool.close()
-            payloads = _drain_pool(
-                pool, async_result, (trace_dir, checkpoint_dir)
-            )
+            payloads = _drain_pool(pool, async_result, trace_dir)
         for payload in payloads:
             # Fold each worker's registry delta into the parent: counter
             # and histogram *content* is deterministic (cycle counts,

@@ -182,23 +182,20 @@ def simulate_sampled_pair(
     sampling,
     trace: Optional[Trace] = None,
     kernel: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
 ):
     """Sampled-mode sibling of :func:`simulate_pair`.
 
     Runs the :func:`repro.core.engine.run_sampled` execution mode over
     the same trace and measured region a full run would use: detailed
-    slices per ``sampling`` (a :class:`~repro.sampling.plan.SamplingPlan`),
-    functional fast-forward between them, warm-state checkpoints under
-    ``checkpoint_dir`` when given. Returns ``(sampled, trace,
-    telemetry)`` where ``sampled`` is a
+    slices per ``sampling`` (a :class:`~repro.sampling.plan.SamplingPlan`)
+    and in-memory functional fast-forward between them. Returns
+    ``(sampled, trace, telemetry)`` where ``sampled`` is a
     :class:`~repro.sampling.estimator.SampledStats` — its ``.stats`` is
     the synthesized whole-run statistics object that caches and figure
     generators consume — and ``telemetry`` covers the detailed slices
     only.
     """
     from repro.core import engine
-    from repro.sampling.checkpoints import CheckpointStore
     from repro.sampling.estimator import estimate_sampled
 
     profile = get_profile(benchmark)
@@ -207,7 +204,6 @@ def simulate_sampled_pair(
     config = resolve_config(scheme)
     if kernel is not None:
         config = config.with_kernel(kernel)
-    checkpoints = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
     windows, slices, telemetry = engine.run_sampled(
         config,
         trace,
@@ -216,7 +212,6 @@ def simulate_sampled_pair(
         scale.num_instructions,
         profile=profile,
         prewarm_seed=scale.seed,
-        checkpoints=checkpoints,
     )
     sampled = estimate_sampled(
         sampling,
@@ -236,7 +231,6 @@ def execute_pair(
     kernel: Optional[str] = None,
     sampling=None,
     trace_dir: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
 ):
     """Simulate one uncached pair and record its telemetry.
 
@@ -272,7 +266,6 @@ def execute_pair(
                 sampling,
                 trace=trace,
                 kernel=kernel,
-                checkpoint_dir=checkpoint_dir,
             )
             stats = sampled.stats
     obs.record_kernel_delta(kernel_name, telemetry.as_dict())
@@ -302,8 +295,8 @@ class ExperimentRunner:
 
     ``sampling`` switches the runner to the sampled execution mode: a
     :class:`~repro.sampling.plan.SamplingPlan` makes every simulation a
-    checkpointed sampled run (detailed slices + functional fast-forward)
-    whose statistics are error-bounded *estimates*. The plan hashes into
+    sampled run (detailed slices + functional fast-forward) whose
+    statistics are error-bounded *estimates*. The plan hashes into
     every disk-cache key, so sampled and full results never alias and
     warm reruns of sampled campaigns replay with zero executions; the
     per-pair estimate record (confidence intervals included) is cached
@@ -328,8 +321,6 @@ class ExperimentRunner:
             self.store: Optional[ResultStore] = ResultStore.from_env()
         elif store is False:
             self.store = None
-        elif store is True:
-            self.store = ResultStore()
         else:
             self.store = store
         self.workers = workers
@@ -348,12 +339,6 @@ class ExperimentRunner:
         if self.store is None:
             return None
         return str(self.store.root / "traces")
-
-    def _checkpoint_dir(self) -> Optional[str]:
-        """Warm-state checkpoint directory (disk cache root)."""
-        if self.store is None or self.sampling is None:
-            return None
-        return str(self.store.root / "checkpoints")
 
     def store_key(self, benchmark: str, scheme: SchemeOrConfig) -> str:
         """Content address of this pair's result at this runner's scale.
@@ -446,7 +431,6 @@ class ExperimentRunner:
             self.scale,
             kernel=self.kernel,
             sampling=self.sampling,
-            checkpoint_dir=self._checkpoint_dir(),
         )
         self._record(benchmark, scheme, stats, sampled)
         return stats
@@ -529,7 +513,6 @@ class ExperimentRunner:
                     kernel=self.kernel,
                     trace_dir=self._trace_dir(),
                     sampling=self.sampling,
-                    checkpoint_dir=self._checkpoint_dir(),
                 )
                 for (benchmark, scheme), result in zip(misses, results):
                     if self.sampling is not None:

@@ -52,10 +52,10 @@ __all__ = [
     "package_sources_digest",
     "atomic_write",
     "atomic_write_json",
-    "record_cache_event",
     "sweep_stale_tmp",
 ]
 
+#: Telemetry series per result-store event, all labelled ``store="results"``.
 _CACHE_EVENT_METRICS = {
     "hit": "repro_store_hits_total",
     "miss": "repro_store_misses_total",
@@ -64,26 +64,13 @@ _CACHE_EVENT_METRICS = {
 }
 
 
-def record_cache_event(cache: str, event: str, amount: int = 1) -> None:
-    """Count one cache observation in the obs metrics registry.
-
-    ``cache`` labels the series (``results``, ``checkpoints``);
-    ``event`` is one of ``hit``/``miss``/``corrupt``/``write``. This
-    function is the telemetry seam for version-tagged callers: the
-    checkpoint store already imports this module (it is the one
-    exemption from the version-tag closure) but must not import
-    ``repro.obs`` itself, so it counts through here. Purely additive — no caller behaviour may depend on it.
-    """
-    metrics.counter(_CACHE_EVENT_METRICS[event], store=cache).inc(amount)
-
-
 def atomic_write(path: Path, data: bytes) -> Path:
     """Atomically replace ``path`` with ``data``.
 
     Temp file + ``os.replace`` in the destination directory, cleaned up
     on any failure — the one crash-safe write path of the tree (results,
-    checkpoints, trace spills, exported artifacts), so a future
-    hardening (fsync, permissions) lands in one place.
+    trace spills, exported artifacts), so a future hardening (fsync,
+    permissions) lands in one place.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     # The temp name carries the writer's pid on top of mkstemp's random
@@ -121,12 +108,12 @@ STALE_TMP_AGE_SECONDS = 3600.0
 def sweep_stale_tmp(root: os.PathLike, max_age: float = STALE_TMP_AGE_SECONDS) -> int:
     """Best-effort removal of orphaned atomic-write temp files.
 
-    Every atomic write in the tree (results, checkpoints, trace spills,
-    artifacts) stages through :func:`atomic_write`, which unlinks its
-    temp file on failure — but a SIGKILLed worker unlinks nothing, so
-    orphans accumulate under ``$REPRO_CACHE_DIR`` forever. This sweep
-    deletes ``*.tmp`` files older than ``max_age`` seconds anywhere
-    under ``root`` and returns the count removed.
+    Every atomic write in the tree (results, trace spills, artifacts)
+    stages through :func:`atomic_write`, which unlinks its temp file on
+    failure — but a SIGKILLed worker unlinks nothing, so orphans
+    accumulate under ``$REPRO_CACHE_DIR`` forever. This sweep deletes
+    ``*.tmp`` files older than ``max_age`` seconds anywhere under
+    ``root`` and returns the count removed.
 
     It cannot race a live writer (young temp files are skipped, and a
     writer that somehow loses its file to the sweep fails loudly at
@@ -283,9 +270,9 @@ class ResultStore:
     def __init__(self, root: Optional[os.PathLike] = None) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
         # Cache hygiene: reap temp files orphaned by SIGKILLed writers.
-        # The sweep covers the whole tree (results, traces, checkpoints)
-        # and only touches files old enough that no live writer can
-        # still own them.
+        # The sweep covers the whole tree (results and traces) and only
+        # touches files old enough that no live writer can still own
+        # them.
         sweep_stale_tmp(self.root)
 
     @classmethod
@@ -323,11 +310,14 @@ class ResultStore:
         version mismatch — reads as a miss, never an exception.
         """
         loaded = self._read_payload(self._path(key))
-        record_cache_event("results", "hit" if loaded is not None else "miss")
+        self._count("hit" if loaded is not None else "miss")
         return loaded
 
-    @staticmethod
-    def _read_payload(path: Path):
+    def _count(self, event: str) -> None:
+        """Count one store event in the obs registry; telemetry only."""
+        metrics.counter(_CACHE_EVENT_METRICS[event], store="results").inc()
+
+    def _read_payload(self, path: Path):
         try:
             raw = path.read_bytes()
         except OSError:
@@ -348,7 +338,7 @@ class ResultStore:
         except (ValueError, KeyError, TypeError, AttributeError):
             # The file existed but could not be trusted: torn write,
             # binary garbage, wrong shape. Still a miss to the caller.
-            record_cache_event("results", "corrupt")
+            self._count("corrupt")
             return None
 
     def save(self, key: str, stats: SimulationStats, extra: Optional[dict] = None) -> Path:
@@ -362,7 +352,7 @@ class ResultStore:
         if extra is not None:
             payload["sampled"] = extra
         path = atomic_write_json(self._path(key), payload)
-        record_cache_event("results", "write")
+        self._count("write")
         return path
 
     def __len__(self) -> int:

@@ -25,14 +25,13 @@ the paper's cross-SPEC averages. ``--epsilon``/``--frontier-budget``
 enable epsilon-dominance thinning and crowding-distance selection of
 the refinement frontier.
 
-``--sampling`` scores every point from the checkpointed sampled
-execution mode (:mod:`repro.sampling`): objectives become error-bounded
-estimates, the raw-metric confidence bounds ride into ``points.csv``
+``--sampling`` scores every point from the sampled execution mode
+(:mod:`repro.sampling`): objectives become error-bounded estimates, and
+the raw-metric confidence bounds ride into ``points.csv``
 (``<metric>.ci_low``/``.ci_high`` columns) and the frontier JSON's
-settings block, and — because warm-state checkpoints are independent of
-the issue scheme — the functional fast-forward is paid once per
-benchmark rather than once per design point. SPEC is the same
-``key=value,...`` plan spec as the campaign CLI.
+settings block. Each sampled simulation walks its own functional
+fast-forward in memory. SPEC is the same ``key=value,...`` plan spec as
+the campaign CLI.
 
 Every simulation resolves through the campaign cache stack, so a second
 invocation with the same seed reports 0 executions: the artifact is

@@ -11,6 +11,8 @@ runs stay bit-identical under every simulation kernel.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -98,11 +100,9 @@ class ExplorationSettings:
     pre-existing artifacts stay byte-identical.
 
     ``sampling`` (a :class:`~repro.sampling.plan.SamplingPlan`) switches
-    every simulation to the checkpointed sampled execution mode:
-    objectives are scored from error-bounded estimates, confidence
-    intervals ride into the artifacts, and — because warm-state
-    checkpoints are scheme-independent — a big exploration pays the
-    fast-forward once per benchmark, not once per point.
+    every simulation to the sampled execution mode: objectives are
+    scored from error-bounded estimates and confidence intervals ride
+    into the artifacts.
     """
 
     samples: int = 32
@@ -120,6 +120,27 @@ class ExplorationSettings:
     sampling: Optional[object] = None
 
     def validate(self) -> None:
+        # Types first: the server passes JSON values through unconverted,
+        # so a fractional count, a bool or a NaN must stop here.
+        counts = ["samples", "rounds", "neighbors_per_point", "num_instructions"]
+        if self.frontier_budget is not None:
+            counts.append("frontier_budget")
+        for name in counts:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.aggregate, bool):
+            raise ConfigurationError(
+                f"aggregate must be true or false, got {self.aggregate!r}"
+            )
+        if (
+            isinstance(self.epsilon, bool)
+            or not isinstance(self.epsilon, numbers.Real)
+            or not math.isfinite(self.epsilon)
+        ):
+            raise ConfigurationError(
+                f"epsilon must be a finite number, got {self.epsilon!r}"
+            )
         if self.samples < 1:
             raise ConfigurationError("need at least one sample")
         if self.rounds < 0:
@@ -166,7 +187,7 @@ class ExplorationSettings:
         if self.aggregate:
             settings["aggregate"] = True
         if self.epsilon > 0:
-            settings["epsilon"] = self.epsilon
+            settings["epsilon"] = float(self.epsilon)
         if self.frontier_budget is not None:
             settings["frontier_budget"] = self.frontier_budget
         if self.sampling is not None:

@@ -1,19 +1,16 @@
-"""Checkpointed statistical sampling (SMARTS-style sampled simulation).
+"""Statistical sampling (SMARTS-style sampled simulation).
 
 Full detailed simulation pays cycle-accurate cost for every committed
 instruction; this subsystem measures only systematically (or seeded-
 randomly) chosen slices, keeps architectural state warm between them
-with functional fast-forward, checkpoints the warmed state in the
-content-addressed store, and reports whole-run statistics as point
-estimates with explicit confidence intervals:
+with in-memory functional fast-forward, and reports whole-run
+statistics as point estimates with explicit confidence intervals:
 
 * :mod:`repro.sampling.plan` — the declarative :class:`SamplingPlan`
   (slice selection, lengths, confidence, error bound) and its CLI spec
   parser;
 * :mod:`repro.sampling.ffwd` — functional fast-forward of caches and
   branch predictor between slices;
-* :mod:`repro.sampling.checkpoints` — content-addressed warm-state
-  snapshots, shared across issue schemes and plans;
 * :mod:`repro.sampling.estimator` — Student-t interval estimation and
   the synthesized whole-run stats downstream consumers score from.
 
@@ -24,7 +21,6 @@ the campaign CLI (``--sampling``) and exploration
 (:class:`~repro.explore.drivers.ExplorationSettings`).
 """
 
-from repro.sampling.checkpoints import CheckpointStore, checkpoint_key
 from repro.sampling.estimator import (
     ESTIMATED_METRICS,
     MetricEstimate,
@@ -57,6 +53,4 @@ __all__ = [
     "FunctionalWarmer",
     "WarmState",
     "slice_trace",
-    "CheckpointStore",
-    "checkpoint_key",
 ]

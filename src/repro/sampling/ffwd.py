@@ -11,9 +11,9 @@ touching the pipeline, which is an order of magnitude cheaper per
 instruction than detailed simulation.
 
 The warmer's state at any position is a pure function of (config, trace,
-position) — the I-cache line tracker included — so positions can be
-checkpointed (:mod:`repro.sampling.checkpoints`) and restored in any
-later process without perturbing a single statistic.
+position) — the I-cache line tracker included — so a slice restored
+into a fresh :class:`~repro.core.processor.Processor` sees exactly the
+state a longer walk would have left, whatever path reached it.
 """
 
 from __future__ import annotations
@@ -73,12 +73,7 @@ class FunctionalWarmer:
 
     ``profile`` (with the trace's generation seed) enables the standard
     pre-warm walk before position 0, exactly like a full detailed run;
-    without it the caches start cold. ``checkpoints`` is an optional
-    :class:`~repro.sampling.checkpoints.CheckpointStore`: exact-position
-    snapshots are loaded instead of replayed and saved after every
-    fast-forward leg, so later runs — same plan, or any plan sharing
-    slice positions, under *any* issue scheme — resume instead of
-    re-warming.
+    without it the caches start cold.
     """
 
     def __init__(
@@ -87,13 +82,8 @@ class FunctionalWarmer:
         trace: Trace,
         profile: Optional[WorkloadProfile] = None,
         prewarm_seed: Optional[int] = None,
-        checkpoints=None,
     ) -> None:
-        self.config = config
         self.trace = trace
-        self.profile = profile
-        self.prewarm_seed = prewarm_seed
-        self.checkpoints = checkpoints
         self.hierarchy = MemoryHierarchy(config)
         self.predictor = HybridBranchPredictor(config.branch)
         if profile is not None and prewarm_seed is not None:
@@ -126,7 +116,7 @@ class FunctionalWarmer:
         self._position = end
 
     def state_at(self, position: int) -> WarmState:
-        """Warm state at ``position``, fast-forwarding (or resuming) to it.
+        """Warm state at ``position``, fast-forwarding to it.
 
         Positions must be requested in non-decreasing order — the warmer
         streams forward only (slice windows come pre-sorted from the
@@ -137,28 +127,10 @@ class FunctionalWarmer:
                 f"cannot rewind functional warming from {self._position} "
                 f"to {position}; request positions in trace order"
             )
-        if position > self._position:
-            restored = None
-            if self.checkpoints is not None:
-                restored = self.checkpoints.load(self, position)
-            if restored is not None:
-                self.restore(restored)
-            else:
-                self._advance(position)
-                if self.checkpoints is not None:
-                    self.checkpoints.save(self, self.snapshot())
-        return self.snapshot()
-
-    def snapshot(self) -> WarmState:
+        self._advance(position)
         return WarmState(
             position=self._position,
             hierarchy=self.hierarchy.state_snapshot(),
             predictor=self.predictor.state_snapshot(),
             line=self._line,
         )
-
-    def restore(self, state: WarmState) -> None:
-        self.hierarchy.restore_state(state.hierarchy)
-        self.predictor.restore_state(state.predictor)
-        self._line = state.line
-        self._position = state.position

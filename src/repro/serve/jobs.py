@@ -276,10 +276,14 @@ class JobService:
             )
 
             benchmarks = spec.pop("benchmarks", "mini")
-            if isinstance(benchmarks, list):
+            if isinstance(benchmarks, list) and all(
+                isinstance(name, str) for name in benchmarks
+            ):
                 benchmarks = ",".join(benchmarks)
             if not isinstance(benchmarks, str):
-                raise JobError("benchmarks must be a group name or a list")
+                raise JobError(
+                    "benchmarks must be a group name or a list of names"
+                )
             scale: RunScale = parsed["scale"]
             try:
                 settings = ExplorationSettings(
@@ -292,8 +296,8 @@ class JobService:
                     num_instructions=scale.num_instructions,
                     workers=0,
                     kernel=parsed["kernel"],
-                    aggregate=bool(spec.pop("aggregate", False)),
-                    epsilon=float(spec.pop("epsilon", 0.0)),
+                    aggregate=spec.pop("aggregate", False),
+                    epsilon=spec.pop("epsilon", 0.0),
                     frontier_budget=spec.pop("frontier_budget", None),
                     sampling=parsed["sampling"],
                 )

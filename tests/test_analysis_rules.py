@@ -192,9 +192,9 @@ class TestCleanTree:
         assert report.findings == [], "\n" + "\n".join(
             f"{f.path}:{f.line}: {f.rule}: {f.message}" for f in report.findings
         )
-        # The two deliberate, documented suppressions (scheduler inline
-        # store probe, checkpoint-store cardinality count) stay used.
-        assert len(report.suppressed) == 2
+        # The one deliberate, documented suppression (the scheduler's
+        # inline store probe) stays used.
+        assert len(report.suppressed) == 1
 
     def test_default_root_is_the_repro_package(self):
         assert default_root().name == "repro"

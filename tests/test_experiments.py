@@ -117,6 +117,24 @@ class TestRunner:
         loss = runner.average_loss_pct(["gzip"], IF_DISTR, BASELINE_UNBOUNDED)
         assert loss == runner.ipc_loss_pct("gzip", IF_DISTR, BASELINE_UNBOUNDED)
 
+    def test_simulate_matrix_runs_zero_workers_in_process(self, monkeypatch):
+        # 0 means serial, as on every CLI, whatever the CPU count.
+        import multiprocessing
+
+        from repro.experiments import simulate_matrix, simulate_pair
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("simulate_matrix forked a pool")
+
+        monkeypatch.setattr(multiprocessing, "cpu_count", lambda: 8)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        pairs = [("gzip", IQ_64_64), ("gzip", IF_DISTR)]
+        results = simulate_matrix(pairs, SMALL, workers=0)
+        assert [stats.to_dict() for stats in results] == [
+            simulate_pair(benchmark, scheme, SMALL)[0].to_dict()
+            for benchmark, scheme in pairs
+        ]
+
 
 class TestCacheLayers:
     """Memory → disk → execution layering of the reworked runner."""

@@ -106,6 +106,30 @@ class TestRunExploration:
             ExplorationSettings(frontier_budget=0).validate()
         with pytest.raises(ConfigurationError, match="unknown sampling strategy"):
             ExplorationSettings(strategy="bogus").validate()
+        # Counts are integers, flags are bools, epsilon is a finite real:
+        # none of these may be coerced into a runnable exploration.
+        for bad in (
+            dict(samples=2.5),
+            dict(samples=True),
+            dict(rounds=0.5),
+            dict(neighbors_per_point=1.5),
+            dict(num_instructions=2000.0),
+            dict(frontier_budget=2.5),
+            dict(frontier_budget=True),
+            dict(aggregate="no"),
+            dict(aggregate=1),
+            dict(epsilon=float("nan")),
+            dict(epsilon=float("inf")),
+            dict(epsilon=True),
+            dict(epsilon="0.1"),
+        ):
+            with pytest.raises(ConfigurationError):
+                ExplorationSettings(**bad).validate()
+        # An integer epsilon is a real number; the artifact shows it as
+        # a float, as it always did.
+        ExplorationSettings(epsilon=1).validate()
+        assert ExplorationSettings(epsilon=1).as_dict()["epsilon"] == 1.0
+        assert isinstance(ExplorationSettings(epsilon=1).as_dict()["epsilon"], float)
 
     def test_settings_dict_omits_defaulted_diversity_knobs(self):
         # Frozen artifact schema: pre-aggregate explorations must keep
@@ -380,6 +404,22 @@ class TestCli:
             explore_main(["--kernel", "turbo", "--out", str(tmp_path)])
         assert exited.value.code == 2
         assert "invalid choice: 'turbo'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_cli_rejects_non_finite_epsilon(
+        self, tmp_path, monkeypatch, capsys, value
+    ):
+        from repro.explore import __main__ as cli
+
+        def never(settings, store):
+            raise AssertionError(f"--epsilon {value} reached the exploration")
+
+        monkeypatch.setattr(cli, "run_exploration", never)
+        with pytest.raises(SystemExit) as exited:
+            explore_main(["--epsilon", value, "--no-cache",
+                          "--out", str(tmp_path)])
+        assert exited.value.code == 2
+        assert "epsilon must be a finite number" in capsys.readouterr().err
 
     def test_cli_rejects_no_cache_with_cache_dir(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exited:

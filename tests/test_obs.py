@@ -355,7 +355,7 @@ class TestExecutePair:
         monkeypatch.setattr(runner, "_TRACE_MEMO", {})
         obs.counter("repro_unrelated_total").inc()  # before the job: not shipped
         payload = parallel._run_job(
-            ("gzip", IF_DISTR, self._scale(), "skip", None, None, None)
+            ("gzip", IF_DISTR, self._scale(), "skip", None, None)
         )
         assert set(payload) == {"stats", "metrics"}
         reference, __, telemetry = simulate_pair(

@@ -205,6 +205,31 @@ class TestCorruptionFallback:
             assert store.load(key_for()) is None
 
 
+class TestStoreTelemetry:
+    def test_events_count_under_the_results_label(self, tmp_path):
+        from repro import obs
+        from repro.obs.metrics import MetricsRegistry
+
+        previous = obs.get_registry()
+        obs.set_registry(MetricsRegistry())
+        try:
+            store = ResultStore(tmp_path)
+            assert store.load(key_for()) is None  # miss
+            path = store.save(key_for(), make_stats())  # write
+            assert store.load(key_for()) is not None  # hit
+            path.write_bytes(b"\x00 garbage")
+            assert store.load(key_for()) is None  # corrupt read, and a miss
+            counts = {
+                event: obs.counter(
+                    f"repro_store_{event}_total", store="results"
+                ).value
+                for event in ("hits", "misses", "writes", "corrupt_reads")
+            }
+        finally:
+            obs.set_registry(previous)
+        assert counts == {"hits": 1, "misses": 2, "writes": 1, "corrupt_reads": 1}
+
+
 class TestSampledPayloads:
     """The sampled-estimate side payload: round trip + damage tolerance."""
 
@@ -374,13 +399,6 @@ class TestStaleTmpSweep:
     def test_result_store_init_sweeps(self, tmp_path):
         orphan = self._orphan(tmp_path / "cd")
         ResultStore(tmp_path)
-        assert not orphan.exists()
-
-    def test_checkpoint_store_init_sweeps(self, tmp_path):
-        from repro.sampling import CheckpointStore
-
-        orphan = self._orphan(tmp_path / "ef")
-        CheckpointStore(tmp_path)
         assert not orphan.exists()
 
     def test_missing_root_is_a_noop(self, tmp_path):

@@ -2,9 +2,9 @@
 
 Covers the declarative plan (window selection, spec parsing, cache-key
 fingerprinting), the estimator (Student-t math, finite-population
-intervals, JSON round trips), functional fast-forward determinism and
-checkpointing, and the experiments-layer plumbing (runner cache keys,
-sampled results through serial and parallel paths, warm replay).
+intervals, JSON round trips), functional fast-forward determinism, and
+the experiments-layer plumbing (runner cache keys, sampled results
+through serial and parallel paths, warm replay).
 """
 
 import json
@@ -22,7 +22,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.store import ResultStore, result_key
 from repro.sampling import (
-    CheckpointStore,
     FunctionalWarmer,
     MetricEstimate,
     SampledStats,
@@ -192,6 +191,14 @@ class TestFunctionalWarmer:
         state_direct = two.state_at(1500)
         assert state_via_stop == state_direct
 
+    def test_repeated_position_returns_the_same_state(self):
+        profile = get_profile(BENCH)
+        trace = generate_trace(profile, 1500, seed=7)
+        warmer = FunctionalWarmer(CONFIG, trace, profile=profile, prewarm_seed=7)
+        first = warmer.state_at(900)
+        assert warmer.state_at(900) == first
+        assert first.position == 900
+
     def test_rewind_is_rejected(self):
         trace = generate_trace(get_profile(BENCH), 1000, seed=7)
         warmer = FunctionalWarmer(CONFIG, trace)
@@ -211,92 +218,6 @@ class TestFunctionalWarmer:
 
         with pytest.raises(SimulationError):
             slice_trace(trace, 500, 400)
-
-
-class TestCheckpoints:
-    def test_checkpoint_hit_resumes_identically(self, tmp_path):
-        profile = get_profile(BENCH)
-        trace = generate_trace(profile, 2000, seed=7)
-        store = CheckpointStore(tmp_path)
-        cold = FunctionalWarmer(CONFIG, trace, profile=profile, prewarm_seed=7,
-                                checkpoints=store)
-        cold_state = cold.state_at(1200)
-        assert len(store) == 1
-        warm = FunctionalWarmer(CONFIG, trace, profile=profile, prewarm_seed=7,
-                                checkpoints=store)
-        assert warm.state_at(1200) == cold_state
-        # ...and continuing from the restored state matches a straight walk.
-        assert warm.state_at(1800) == FunctionalWarmer(
-            CONFIG, trace, profile=profile, prewarm_seed=7
-        ).state_at(1800)
-
-    def test_checkpoints_are_scheme_independent(self, tmp_path):
-        profile = get_profile(BENCH)
-        trace = generate_trace(profile, 1500, seed=7)
-        store = CheckpointStore(tmp_path)
-        FunctionalWarmer(
-            default_config(IQ_64_64), trace, profile=profile, prewarm_seed=7,
-            checkpoints=store,
-        ).state_at(1000)
-        other = FunctionalWarmer(
-            default_config(IF_DISTR), trace, profile=profile, prewarm_seed=7,
-            checkpoints=store,
-        )
-        assert other.checkpoints.load(other, 1000) is not None
-
-    def test_damaged_checkpoints_read_as_misses(self, tmp_path):
-        profile = get_profile(BENCH)
-        trace = generate_trace(profile, 1200, seed=7)
-        store = CheckpointStore(tmp_path)
-        warmer = FunctionalWarmer(CONFIG, trace, profile=profile, prewarm_seed=7,
-                                  checkpoints=store)
-        warmer.state_at(800)
-        (path,) = tmp_path.glob("*/*.json")
-
-        def fresh():
-            return FunctionalWarmer(
-                CONFIG, trace, profile=profile, prewarm_seed=7, checkpoints=store
-            )
-
-        for damage in (
-            b"",                                   # truncated to nothing
-            b"\x00\x01garbage",                    # binary garbage
-            b"[1, 2, 3]",                          # wrong JSON shape
-            json.dumps({"version": "other"}).encode(),   # version mismatch
-            json.dumps({"version": "x", "position": 1}).encode(),
-        ):
-            path.write_bytes(damage)
-            assert store.load(fresh(), 800) is None
-        # Parseable-but-wrong payloads are misses too: out-of-range
-        # counters, shortened predictor tables, wrong cache set counts.
-        def damaged(mutate):
-            fresh().state_at(800)  # rewrite a good checkpoint
-            payload = json.loads(path.read_text())
-            mutate(payload)
-            path.write_text(json.dumps(payload))
-            return store.load(fresh(), 800)
-
-        assert damaged(lambda p: p["predictor"]["gshare"].__setitem__(0, 7)) is None
-        assert damaged(lambda p: p["predictor"]["gshare"].pop()) is None
-        assert damaged(lambda p: p["predictor"]["btb"].pop()) is None
-        assert damaged(
-            lambda p: p["predictor"]["btb"][0].append(["garbage"])
-        ) is None
-        assert damaged(lambda p: p["hierarchy"][0].pop()) is None
-
-        def first_occupied_set(payload):
-            return next(ways for ways in payload["hierarchy"][1] if ways)
-
-        assert damaged(
-            lambda p: first_occupied_set(p).extend([1] * 16)
-        ) is None
-        # Mis-typed tags must be a miss, not a silently-wrong warm state.
-        assert damaged(
-            lambda p: first_occupied_set(p).__setitem__(0, "123")
-        ) is None
-        # ...and an undamaged rewrite still loads.
-        fresh().state_at(800)
-        assert store.load(fresh(), 800) is not None
 
 
 class TestRunnerSampling:
@@ -341,15 +262,46 @@ class TestRunnerSampling:
         assert sampled.detailed_cycles == detailed.executed_cycles
         assert 0 < sampled.detailed_cycles < full_cycles
 
-    def test_checkpoints_populated_through_runner(self, tmp_path):
-        store = ResultStore(tmp_path)
-        runner = ExperimentRunner(SCALE, store=store, sampling=PLAN)
-        runner.run(BENCH, IQ_64_64)
-        checkpoints = CheckpointStore(tmp_path / "checkpoints")
-        assert len(checkpoints) == PLAN.num_slices
-        # A different scheme reuses them: only the stats simulate again.
-        runner.run(BENCH, IF_DISTR)
-        assert len(checkpoints) == PLAN.num_slices
+    def test_sampled_runs_persist_only_results(self, tmp_path):
+        # Warm states are recomputed in memory, never persisted: the
+        # cache root holds nothing but <key[:2]>/<key>.json results.
+        runner = ExperimentRunner(SCALE, store=ResultStore(tmp_path), sampling=PLAN)
+        pairs = [(BENCH, IQ_64_64), (BENCH, IF_DISTR)]
+        runner.run_many(pairs)
+        expected = {
+            f"{key[:2]}/{key}.json"
+            for key in (runner.store_key(*pair) for pair in pairs)
+        }
+        written = {
+            path.relative_to(tmp_path).as_posix()
+            for path in tmp_path.rglob("*")
+            if path.is_file()
+        }
+        assert written == expected
+        assert not (tmp_path / "checkpoints").exists()
+
+    def test_pool_sampled_runs_persist_no_warm_states(self, tmp_path):
+        # Pool jobs carry no warm-state root either: the cache root gets
+        # the results plus the trace spills the workers share.
+        runner = ExperimentRunner(
+            SCALE, store=ResultStore(tmp_path), sampling=PLAN, workers=2
+        )
+        pairs = [(BENCH, IQ_64_64), (BENCH, IF_DISTR)]
+        runner.run_many(pairs)
+        assert runner.cache_stats()["simulations"] == 2
+        results = {
+            f"{key[:2]}/{key}.json"
+            for key in (runner.store_key(*pair) for pair in pairs)
+        }
+        written = {
+            path.relative_to(tmp_path).as_posix()
+            for path in tmp_path.rglob("*")
+            if path.is_file()
+        }
+        assert results <= written
+        spills = written - results
+        assert spills and all(name.startswith("traces/") for name in spills)
+        assert not (tmp_path / "checkpoints").exists()
 
     def test_damaged_sampled_record_recomputes(self, tmp_path):
         store = ResultStore(tmp_path)

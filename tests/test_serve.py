@@ -580,6 +580,8 @@ class TestHttpService:
             app = ServeApp(ResultStore(tmp_path))
             port = await app.start("127.0.0.1", 0)
             try:
+                explore = {"type": "exploration", "samples": 2,
+                           "rounds": 0, "scale": 1000}
                 cases = [
                     {"type": "bogus"},
                     {"type": "simulation", "benchmark": "nope",
@@ -590,8 +592,21 @@ class TestHttpService:
                     {"type": "simulation", "benchmark": "gzip",
                      "scheme": "IQ_64_64", "surprise": 1},
                     ["not", "an", "object"],
-                    {"type": "exploration", "strategy": "bogus",
-                     "samples": 2, "rounds": 0, "scale": 1000},
+                    dict(explore, strategy="bogus"),
+                ] + [
+                    # Exploration values are checked, never coerced.
+                    dict(explore, **bad)
+                    for bad in (
+                        {"samples": 2.5},
+                        {"samples": True},
+                        {"rounds": 0.5},
+                        {"neighbors": 1.5},
+                        {"frontier_budget": 2.5},
+                        {"aggregate": "no"},
+                        {"epsilon": "nan"},
+                        {"epsilon": True},
+                        {"benchmarks": [1, 2]},
+                    )
                 ]
                 statuses = [
                     (await _post_json(port, "/v1/jobs", case))[0]
@@ -604,7 +619,7 @@ class TestHttpService:
                 await app.shutdown()
 
         statuses, missing, bad_path, jobs = run(body())
-        assert statuses == [400] * 7
+        assert statuses == [400] * 16
         assert missing == 404 and bad_path == 404
         assert jobs == 0
 
@@ -741,7 +756,7 @@ class TestParallelDrain:
         from repro.experiments.parallel import _drain_pool
 
         result = self._FakeResult(payloads=["a", "b"])
-        assert _drain_pool(self._FakePool(), result, (None, None)) == ["a", "b"]
+        assert _drain_pool(self._FakePool(), result, None) == ["a", "b"]
 
     def test_interrupt_terminates_pool_and_sweeps(self, tmp_path):
         from repro.experiments.parallel import _drain_pool
@@ -750,11 +765,7 @@ class TestParallelDrain:
         orphan.write_text("torn trace spill")
         pool = self._FakePool()
         with pytest.raises(KeyboardInterrupt):
-            _drain_pool(
-                pool,
-                self._FakeResult(interrupt=True),
-                (str(tmp_path), None),
-            )
+            _drain_pool(pool, self._FakeResult(interrupt=True), str(tmp_path))
         assert pool.terminated and pool.joined
         assert not orphan.exists()  # swept regardless of age
 
@@ -826,6 +837,29 @@ class TestJobValidation:
                 await app.scheduler.close()
 
         run(body())
+
+    def test_exploration_values_pass_through_unconverted(self, tmp_path):
+        # Valid JSON values reach ExplorationSettings as sent: a bool
+        # stays a bool, an integer epsilon a number, a name list a tuple.
+        async def body():
+            app = ServeApp(ResultStore(tmp_path))
+            await app.scheduler.start()
+            try:
+                return app.jobs.parse({
+                    "type": "exploration", "samples": 3, "rounds": 0,
+                    "scale": 1200, "benchmarks": ["gzip", "mcf"],
+                    "aggregate": True, "epsilon": 1, "frontier_budget": 4,
+                })["settings"]
+            finally:
+                await app.scheduler.close()
+
+        settings = run(body())
+        assert settings.benchmarks == ("gzip", "mcf")
+        assert settings.aggregate is True
+        assert (settings.samples, settings.rounds, settings.frontier_budget) == (
+            3, 0, 4
+        )
+        assert settings.as_dict()["epsilon"] == 1.0
 
     def test_batch_signature_separates_incompatible_units(self):
         base = WorkUnit("gzip", IQ_64_64, SCALE)
