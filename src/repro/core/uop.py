@@ -10,16 +10,24 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import FuType, OpClass, fu_type_for
+from repro.isa.opcodes import FuType, OpClass
 
 __all__ = ["InFlight"]
 
 
 class InFlight:
-    """One dispatched, not-yet-committed instruction."""
+    """One dispatched, not-yet-committed instruction.
+
+    ``op``, ``seq`` and ``fu_type`` copy facts of ``inst`` that never
+    change; they are slots, not properties, because the issue stage
+    reads them for every candidate every cycle.
+    """
 
     __slots__ = (
         "inst",
+        "op",
+        "seq",
+        "fu_type",
         "src_phys",
         "dest_phys",
         "prev_phys",
@@ -46,6 +54,9 @@ class InFlight:
         dispatch_cycle: int,
     ) -> None:
         self.inst = inst
+        self.op: OpClass = inst.op
+        self.seq: int = inst.seq
+        self.fu_type: FuType = inst.op.fu_type
         self.src_phys = src_phys
         self.dest_phys = dest_phys
         self.prev_phys = prev_phys
@@ -63,18 +74,6 @@ class InFlight:
         self.store_addr_known_cycle: Optional[int] = None
 
     @property
-    def op(self) -> OpClass:
-        return self.inst.op
-
-    @property
-    def seq(self) -> int:
-        return self.inst.seq
-
-    @property
-    def fu_type(self) -> FuType:
-        return fu_type_for(self.inst.op)
-
-    @property
     def issue_srcs(self) -> List[Tuple[bool, int]]:
         """Operands that must be ready for the instruction to *issue*.
 
@@ -84,7 +83,7 @@ class InFlight:
         rest are address operands — and read their data at commit, which
         in-order retirement guarantees is ready by then.
         """
-        if self.inst.op.is_store and len(self.src_phys) > 1:
+        if self.op.is_store and len(self.src_phys) > 1:
             return self.src_phys[1:]
         return self.src_phys
 
@@ -98,4 +97,4 @@ class InFlight:
 
     def __repr__(self) -> str:
         state = "done" if self.completed else ("issued" if self.issued else "waiting")
-        return f"InFlight(#{self.seq} {self.inst.op.value} {state})"
+        return f"InFlight(#{self.seq} {self.op.value} {state})"

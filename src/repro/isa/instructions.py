@@ -50,11 +50,6 @@ class Instruction:
     taken: Optional[bool] = None
     target: Optional[int] = None
 
-    @property
-    def is_fp_side(self) -> bool:
-        """True if the instruction dispatches to the FP issue queues."""
-        return self.op.is_fp
-
     def __str__(self) -> str:
         parts = [f"#{self.seq}", self.op.value, f"pc=0x{self.pc:x}"]
         if self.dest is not None:

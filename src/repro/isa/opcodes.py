@@ -15,8 +15,39 @@ from repro.common.config import FunctionalUnitConfig
 __all__ = ["OpClass", "FuType", "fu_type_for", "latency_for", "is_pipelined"]
 
 
+class FuType(enum.Enum):
+    """Functional-unit categories of Table 1."""
+
+    INT_ALU = "int_alu"
+    INT_MULDIV = "int_muldiv"
+    FP_ALU = "fp_alu"
+    FP_MULDIV = "fp_muldiv"
+
+
+# Keyed by OpClass value. Memory ops and branches use an integer ALU for
+# address / target computation.
+_FU_FOR_OP = {
+    "int_alu": FuType.INT_ALU,
+    "int_mul": FuType.INT_MULDIV,
+    "int_div": FuType.INT_MULDIV,
+    "fp_alu": FuType.FP_ALU,
+    "fp_mul": FuType.FP_MULDIV,
+    "fp_div": FuType.FP_MULDIV,
+    "load": FuType.INT_ALU,
+    "store": FuType.INT_ALU,
+    "fp_load": FuType.INT_ALU,
+    "fp_store": FuType.INT_ALU,
+    "branch": FuType.INT_ALU,
+}
+
+
 class OpClass(enum.Enum):
-    """Operation class of a dynamic instruction."""
+    """Operation class of a dynamic instruction.
+
+    Each member's fixed facts are plain attributes set in ``__init__``,
+    not properties: the issue stage reads them for every candidate every
+    cycle, and a property costs a Python call per access.
+    """
 
     INT_ALU = "int_alu"
     INT_MUL = "int_mul"
@@ -30,75 +61,27 @@ class OpClass(enum.Enum):
     FP_STORE = "fp_store"
     BRANCH = "branch"
 
-    @property
-    def is_fp(self) -> bool:
-        """True if the instruction lives in the FP side of the machine.
-
-        FP loads/stores compute their address on the integer side (as in
-        real machines) but their *destination* is an FP register; the
-        paper steers instructions by the cluster of the queue that holds
-        them, so we classify loads/stores by where they are dispatched:
-        address computation is an integer operation, hence all loads,
-        stores and branches are integer-side instructions here.
-        """
-        return self in (OpClass.FP_ALU, OpClass.FP_MUL, OpClass.FP_DIV)
-
-    @property
-    def is_memory(self) -> bool:
-        """True for loads and stores of either register class."""
-        return self in (OpClass.LOAD, OpClass.STORE, OpClass.FP_LOAD, OpClass.FP_STORE)
-
-    @property
-    def is_load(self) -> bool:
-        return self in (OpClass.LOAD, OpClass.FP_LOAD)
-
-    @property
-    def is_store(self) -> bool:
-        return self in (OpClass.STORE, OpClass.FP_STORE)
-
-    @property
-    def is_branch(self) -> bool:
-        return self is OpClass.BRANCH
-
-    @property
-    def writes_fp_register(self) -> bool:
-        """True if the destination register (if any) is an FP register."""
-        return self in (OpClass.FP_ALU, OpClass.FP_MUL, OpClass.FP_DIV, OpClass.FP_LOAD)
-
-
-class FuType(enum.Enum):
-    """Functional-unit categories of Table 1."""
-
-    INT_ALU = "int_alu"
-    INT_MULDIV = "int_muldiv"
-    FP_ALU = "fp_alu"
-    FP_MULDIV = "fp_muldiv"
-
-    @property
-    def is_fp(self) -> bool:
-        return self in (FuType.FP_ALU, FuType.FP_MULDIV)
-
-
-_FU_FOR_OP = {
-    OpClass.INT_ALU: FuType.INT_ALU,
-    OpClass.INT_MUL: FuType.INT_MULDIV,
-    OpClass.INT_DIV: FuType.INT_MULDIV,
-    OpClass.FP_ALU: FuType.FP_ALU,
-    OpClass.FP_MUL: FuType.FP_MULDIV,
-    OpClass.FP_DIV: FuType.FP_MULDIV,
-    # Memory ops and branches use an integer ALU for address / target
-    # computation.
-    OpClass.LOAD: FuType.INT_ALU,
-    OpClass.STORE: FuType.INT_ALU,
-    OpClass.FP_LOAD: FuType.INT_ALU,
-    OpClass.FP_STORE: FuType.INT_ALU,
-    OpClass.BRANCH: FuType.INT_ALU,
-}
+    def __init__(self, value: str) -> None:
+        # True if the instruction lives in the FP side of the machine.
+        # FP loads/stores compute their address on the integer side (as
+        # in real machines) but their *destination* is an FP register;
+        # the paper steers instructions by the cluster of the queue that
+        # holds them, so we classify loads/stores by where they are
+        # dispatched: address computation is an integer operation, hence
+        # all loads, stores and branches are integer-side instructions.
+        self.is_fp: bool = value in ("fp_alu", "fp_mul", "fp_div")
+        self.is_load: bool = value in ("load", "fp_load")
+        self.is_store: bool = value in ("store", "fp_store")
+        self.is_memory: bool = self.is_load or self.is_store  # either register class
+        self.is_branch: bool = value == "branch"
+        # The destination register (if any) is an FP register.
+        self.writes_fp_register: bool = self.is_fp or value == "fp_load"
+        self.fu_type: FuType = _FU_FOR_OP[value]
 
 
 def fu_type_for(op: OpClass) -> FuType:
     """Functional-unit type that executes instructions of class ``op``."""
-    return _FU_FOR_OP[op]
+    return op.fu_type
 
 
 def latency_for(op: OpClass, fus: FunctionalUnitConfig) -> int:

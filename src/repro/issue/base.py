@@ -53,59 +53,48 @@ class IssueContext:
         self.memory_budget = config.dcache.ports
         self.issued: List[InFlight] = []
 
-    def operands_ready(self, uop: InFlight) -> bool:
-        """All issue-relevant operands available to an instruction issuing now.
-
-        For stores this is the address operands only — the data is read
-        at commit (Section 3.1 splits stores into address computation
-        and memory access).
-        """
-        return self.scoreboard.all_ready(uop.issue_srcs, self.cycle)
-
-    def load_gated(self, uop: InFlight) -> bool:
-        """True if a load must wait on older stores.
-
-        Two conditions gate a load: every older store must have issued
-        (so addresses are known for disambiguation), and any older store
-        it would forward from must have its data availability scheduled.
-        """
-        if not uop.op.is_load:
-            return False
-        if not self.lsq.can_issue_load(uop.seq):
-            return True
-        return self.lsq.load_blocked_on_store_data(uop, self.scoreboard)
-
-    def _budget_ok(self, uop: InFlight) -> bool:
-        side_budget = self.fp_budget if uop.op.is_fp else self.int_budget
-        if side_budget <= 0:
-            return False
-        if uop.op.is_memory and self.memory_budget <= 0:
-            return False
-        return True
-
-    def can_issue(self, uop: InFlight, queue_index: Optional[int] = None) -> bool:
-        """All checks except FU reservation (non-destructive)."""
-        return (
-            self._budget_ok(uop)
-            and self.operands_ready(uop)
-            and not self.load_gated(uop)
-        )
-
     def issue(self, uop: InFlight, queue_index: Optional[int] = None) -> bool:
-        """Try to issue ``uop`` now; reserves resources on success."""
-        if not self.can_issue(uop, queue_index):
+        """Try to issue ``uop`` now; reserves resources on success.
+
+        Checks in order: the side's issue-width budget, the memory-port
+        budget, operand readiness, load gating, then a free functional
+        unit. A rejected issue has no side effects; the conventional
+        queue's ready-bound short-circuit and the generated kernel's
+        pregates rely on that.
+
+        For stores only the address operands must be ready — the data
+        is read at commit (Section 3.1 splits stores into address
+        computation and memory access). A load waits on older stores:
+        every one must have issued (so addresses are known for
+        disambiguation), and any it would forward from must have its
+        data availability scheduled.
+        """
+        op = uop.op
+        is_fp = op.is_fp
+        if (self.fp_budget if is_fp else self.int_budget) <= 0:
             return False
-        latency = latency_for(uop.op, self.config.fus)
-        if not self.fu_pool.try_allocate(uop.fu_type, uop.op, latency, self.cycle, queue_index):
+        is_memory = op.is_memory
+        if is_memory and self.memory_budget <= 0:
             return False
-        if uop.op.is_fp:
+        cycle = self.cycle
+        if not self.scoreboard.all_ready(uop.issue_srcs, cycle):
+            return False
+        if op.is_load and (
+            not self.lsq.can_issue_load(uop.seq)
+            or self.lsq.load_blocked_on_store_data(uop, self.scoreboard)
+        ):
+            return False
+        latency = latency_for(op, self.config.fus)
+        if not self.fu_pool.try_allocate(uop.fu_type, op, latency, cycle, queue_index):
+            return False
+        if is_fp:
             self.fp_budget -= 1
         else:
             self.int_budget -= 1
-        if uop.op.is_memory:
+        if is_memory:
             self.memory_budget -= 1
-        uop.issue_cycle = self.cycle
-        self._complete_fn(uop, self.cycle)
+        uop.issue_cycle = cycle
+        self._complete_fn(uop, cycle)
         self.issued.append(uop)
         return True
 

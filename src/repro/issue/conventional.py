@@ -93,7 +93,7 @@ class ConventionalIssueQueue(IssueScheme):
 
     # -- issue -------------------------------------------------------
     def _scan_may_issue(self, side: int, queue: List[InFlight], cycle: int) -> bool:
-        """False only if no resident entry can pass ``operands_ready``.
+        """False only if no resident entry has its issue operands ready.
 
         The cached bound is the minimum over entries of the cycle at
         which all issue operands become available (``NEVER`` while any

@@ -326,6 +326,20 @@ class TestFunctionalUnits:
 
 
 class TestInFlight:
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            alu(3, r(1), [r(2)]),
+            alu(4, f(1), [f(2)], op=OpClass.FP_DIV),
+            load(5, f(3), 0x80, [r(4)], fp=True),
+            store(6, r(1), 0x100, [r(2)]),
+        ],
+        ids=lambda inst: inst.op.name,
+    )
+    def test_fixed_fields_copy_the_instruction(self, inst):
+        uop = make_uop(inst)
+        assert (uop.op, uop.seq, uop.fu_type) == (inst.op, inst.seq, inst.op.fu_type)
+
     def test_store_issue_srcs_exclude_data(self):
         uop = make_uop(store(0, r(1), 0x100, [r(2)]),
                        src_phys=[(False, 1), (False, 2)])

@@ -1,5 +1,7 @@
 """Unit tests for op classes, latencies and instruction validation."""
 
+import pickle
+
 import pytest
 
 from repro.common.config import FunctionalUnitConfig
@@ -10,22 +12,42 @@ from repro.isa.opcodes import FuType, OpClass, fu_type_for, is_pipelined, latenc
 from tests.util import alu, branch, f, load, r, store
 
 
+#: Every op class's fixed facts: (is_fp, is_memory, is_load, is_store,
+#: is_branch, writes_fp_register, fu_type).
+OP_FACTS = {
+    OpClass.INT_ALU: (False, False, False, False, False, False, FuType.INT_ALU),
+    OpClass.INT_MUL: (False, False, False, False, False, False, FuType.INT_MULDIV),
+    OpClass.INT_DIV: (False, False, False, False, False, False, FuType.INT_MULDIV),
+    OpClass.FP_ALU: (True, False, False, False, False, True, FuType.FP_ALU),
+    OpClass.FP_MUL: (True, False, False, False, False, True, FuType.FP_MULDIV),
+    OpClass.FP_DIV: (True, False, False, False, False, True, FuType.FP_MULDIV),
+    OpClass.LOAD: (False, True, True, False, False, False, FuType.INT_ALU),
+    OpClass.STORE: (False, True, False, True, False, False, FuType.INT_ALU),
+    # FP loads/stores dispatch to the integer side (address computation).
+    OpClass.FP_LOAD: (False, True, True, False, False, True, FuType.INT_ALU),
+    OpClass.FP_STORE: (False, True, False, True, False, False, FuType.INT_ALU),
+    OpClass.BRANCH: (False, False, False, False, True, False, FuType.INT_ALU),
+}
+
+
 class TestOpClass:
-    def test_fp_side_membership(self):
-        assert OpClass.FP_ALU.is_fp
-        assert OpClass.FP_MUL.is_fp
-        assert not OpClass.FP_LOAD.is_fp  # loads dispatch to the integer side
-        assert not OpClass.INT_ALU.is_fp
-        assert not OpClass.BRANCH.is_fp
+    @pytest.mark.parametrize("op", list(OpClass), ids=lambda op: op.name)
+    def test_fixed_facts(self, op):
+        assert (
+            op.is_fp,
+            op.is_memory,
+            op.is_load,
+            op.is_store,
+            op.is_branch,
+            op.writes_fp_register,
+            op.fu_type,
+        ) == OP_FACTS[op]
+        assert fu_type_for(op) is op.fu_type
 
-    def test_memory_classification(self):
-        assert OpClass.LOAD.is_memory and OpClass.LOAD.is_load
-        assert OpClass.FP_STORE.is_memory and OpClass.FP_STORE.is_store
-        assert not OpClass.INT_MUL.is_memory
-
-    def test_fp_load_writes_fp_register(self):
-        assert OpClass.FP_LOAD.writes_fp_register
-        assert not OpClass.LOAD.writes_fp_register
+    @pytest.mark.parametrize("op", list(OpClass), ids=lambda op: op.name)
+    def test_unpickles_to_the_same_member(self, op):
+        # Pool workers unpickle ops; they must read the member's own facts.
+        assert pickle.loads(pickle.dumps(op)) is op
 
 
 class TestFuMapping:

@@ -8,7 +8,7 @@ from repro.core.functional_units import PooledFuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
-from repro.isa.opcodes import OpClass
+from repro.isa.opcodes import FuType, OpClass
 from repro.issue import build_scheme
 from repro.issue.base import IssueContext
 from repro.issue.conventional import ConventionalIssueQueue
@@ -16,7 +16,7 @@ from repro.issue.issuefifo import IssueFifoScheme
 from repro.issue.latfifo import LatFifoScheme
 from repro.issue.mixbuff import MixBuffScheme
 
-from tests.util import alu, f, fpalu, r
+from tests.util import alu, f, fpalu, load, r, store
 
 
 def make_uop(inst, age=None):
@@ -35,6 +35,119 @@ def make_ctx(config, cycle=0):
         lambda uop, cyc: None,
     )
     return ctx
+
+
+def _int_budget_spent(ctx):
+    ctx.int_budget = 0
+    return make_uop(alu(1, r(1)))
+
+
+def _fp_budget_spent(ctx):
+    ctx.fp_budget = 0
+    return make_uop(fpalu(1, f(1)))
+
+
+def _memory_ports_spent(ctx):
+    ctx.memory_budget = 0
+    return make_uop(load(1, r(1), 0x100))
+
+
+def _unready_source(ctx):
+    ctx.scoreboard.mark_pending((False, 40))
+    uop = make_uop(alu(1, r(1), [r(2)]))
+    uop.src_phys = [(False, 40)]
+    return uop
+
+
+def _older_store_unissued(ctx):
+    ctx.lsq.add_store(make_uop(store(0, r(3), 0x900)))
+    return make_uop(load(1, r(1), 0x100))
+
+
+def _forwarding_store_data_unscheduled(ctx):
+    older = make_uop(store(0, r(3), 0x100))
+    older.src_phys = [(False, 40)]
+    ctx.scoreboard.mark_pending((False, 40))
+    ctx.lsq.add_store(older)
+    ctx.lsq.store_issued(older, addr_known_cycle=ctx.cycle)
+    return make_uop(load(1, r(1), 0x100))
+
+
+def _fu_busy(ctx):
+    for unit in ctx.fu_pool.units_of(FuType.INT_MULDIV):
+        unit.busy_until = ctx.cycle + 10  # an unpipelined divide in flight
+    return make_uop(alu(1, r(1), op=OpClass.INT_MUL))
+
+
+class TestIssueContext:
+    """``IssueContext.issue`` checks every gate before it reserves
+    anything. The conventional queue's ready-bound short-circuit and the
+    generated kernel's pregates rely on a rejected issue changing
+    nothing."""
+
+    CYCLE = 5
+
+    def make(self):
+        cfg = default_config(IssueSchemeConfig(kind="conventional"))
+        completed = []
+        ctx = IssueContext(
+            self.CYCLE,
+            cfg,
+            Scoreboard(160, 160, 32, 32),
+            PooledFuPool(cfg.fus),
+            LoadStoreQueue(),
+            lambda uop, cycle: completed.append((uop, cycle)),
+        )
+        return ctx, completed
+
+    @staticmethod
+    def units(ctx):
+        return [(u.busy_until, u.last_issue_cycle) for u in ctx.fu_pool.all_units()]
+
+    def state(self, ctx, uop):
+        return (
+            (ctx.int_budget, ctx.fp_budget, ctx.memory_budget),
+            list(ctx.issued),
+            self.units(ctx),
+            ctx.scoreboard.version,
+            uop.issue_cycle,
+        )
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            _int_budget_spent,
+            _fp_budget_spent,
+            _memory_ports_spent,
+            _unready_source,
+            _older_store_unissued,
+            _forwarding_store_data_unscheduled,
+            _fu_busy,
+        ],
+        ids=lambda gate: gate.__name__.lstrip("_"),
+    )
+    def test_rejected_issue_changes_nothing(self, gate):
+        ctx, completed = self.make()
+        uop = gate(ctx)
+        before = self.state(ctx, uop)
+        assert ctx.issue(uop) is False
+        assert self.state(ctx, uop) == before
+        assert completed == []
+
+    def test_accepted_issue_spends_its_budgets_and_one_unit(self):
+        ctx, completed = self.make()
+        uop = make_uop(load(1, r(1), 0x100))
+        int_b, fp_b, mem_b = ctx.int_budget, ctx.fp_budget, ctx.memory_budget
+        units = self.units(ctx)
+        assert ctx.issue(uop) is True
+        assert (ctx.int_budget, ctx.fp_budget, ctx.memory_budget) == (
+            int_b - 1, fp_b, mem_b - 1
+        )
+        changed = [a for b, a in zip(units, self.units(ctx)) if a != b]
+        assert changed == [(-1, self.CYCLE)]
+        assert ctx.issued == [uop]
+        assert completed == [(uop, self.CYCLE)]
+        assert uop.issue_cycle == self.CYCLE
 
 
 class TestBuildScheme:
