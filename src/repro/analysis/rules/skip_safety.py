@@ -3,17 +3,19 @@
 The skip kernel proves quiescence and jumps over idle spans, so any
 per-cycle behaviour must either declare its next cycle-number-dependent
 boundary through the ``next_activity_cycle()`` contract family, or be a
-pure counter accrual that the interval accounting replays — which means
-the counter must be registered in ``idle_counters()`` /
-``apply_idle_counters()``.  A class that mutates state on the step path
-without either contract silently diverges from the naive kernel the
-first time a skip span covers its activity.
+pure counter accrual that the interval accounting replays. That
+accounting replays only the processor's own state (its ``events``, the
+dispatch-stall count and the occupancy integral), so a per-cycle counter
+kept on a component is a finding: it drops its increments on every
+skipped span. A class that mutates state on the step path without a
+``next_*`` contract silently diverges from the naive kernel the first
+time a skip span covers its activity.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Set
+from typing import List
 
 from repro.analysis.framework import (
     Finding,
@@ -34,19 +36,17 @@ STEP_METHODS = frozenset({"step", "fetch_cycle", "on_cycle_end"})
 NEXT_FAMILY = frozenset(
     {
         "next_activity_cycle",
-        "next_dispatch_activity_cycle",
         "next_code_boundary",
         "next_event_cycle",
     }
 )
 
-# Methods that accrue per-cycle/per-attempt counters which the idle
-# accounting must replay over skipped spans.
+# Methods a quiescent cycle can still run (per cycle or per refused
+# placement); a counter they accrue on the component itself is never
+# replayed over skipped spans.
 COUNTER_METHODS = frozenset(
     {"on_cycle_end", "try_dispatch", "try_place", "place_by_estimate", "_choose_queue"}
 )
-
-IDLE_REGISTRY_METHODS = ("idle_counters", "apply_idle_counters")
 
 
 def _self_mutations(func: ast.AST) -> List[ast.AST]:
@@ -124,25 +124,6 @@ def _is_trivial(func: ast.FunctionDef) -> bool:
     )
 
 
-def _registered_names(project: Project, class_name: str) -> Set[str]:
-    """Names mentioned in ``idle_counters``/``apply_idle_counters``
-    anywhere in the class's resolvable MRO — as ``self.<name>``
-    attributes or as string keys."""
-    names: Set[str] = set()
-    for info in project.resolve_mro(class_name):
-        for item in info.node.body:
-            if (
-                isinstance(item, ast.FunctionDef)
-                and item.name in IDLE_REGISTRY_METHODS
-            ):
-                for node in ast.walk(item):
-                    if isinstance(node, ast.Attribute):
-                        names.add(node.attr)
-                    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                        names.add(node.value)
-    return names
-
-
 def _mro_defines(project: Project, class_name: str, methods: frozenset) -> bool:
     for info in project.resolve_mro(class_name):
         for item in info.node.body:
@@ -155,12 +136,12 @@ class SkipSafetyRule(Rule):
     id = "skip-safety"
     summary = (
         "per-cycle mutation requires a next_activity_cycle()-family "
-        "contract; per-cycle counters must be registered for idle accounting"
+        "contract; per-cycle counters belong in the processor's events"
     )
     rationale = (
         "The skip kernel jumps over proven-idle spans; unreported "
-        "cycle-dependent behaviour or unregistered counters silently "
-        "diverge from the naive kernel."
+        "cycle-dependent behaviour or counters kept on a component "
+        "silently diverge from the naive kernel."
     )
 
     def applies(self, source: SourceFile, project: Project) -> bool:
@@ -198,23 +179,19 @@ class SkipSafetyRule(Rule):
                         )
                     )
                 if item.name in COUNTER_METHODS:
-                    registered = None
                     for aug in _simple_counter_augassigns(item):
                         counter = aug.target.attr  # type: ignore[union-attr]
-                        if registered is None:
-                            registered = _registered_names(project, node.name)
-                        if counter not in registered:
-                            findings.append(
-                                self.finding(
-                                    source,
-                                    aug,
-                                    (
-                                        f"counter 'self.{counter}' accrued in "
-                                        f"{symbol} is not registered in "
-                                        f"idle_counters()/apply_idle_counters() "
-                                        f"— skipped spans drop its increments"
-                                    ),
-                                    symbol=f"{symbol}.{counter}",
-                                )
+                        findings.append(
+                            self.finding(
+                                source,
+                                aug,
+                                (
+                                    f"counter 'self.{counter}' accrued in "
+                                    f"{symbol} is not replayed over skipped "
+                                    f"spans — count into the processor's "
+                                    f"events instead"
+                                ),
+                                symbol=f"{symbol}.{counter}",
                             )
+                        )
         return findings

@@ -69,13 +69,6 @@ _FU_SLOT = {
     FuType.FP_MULDIV: 3,
 }
 
-_MUX_EVENT = {
-    FuType.INT_ALU: "mux_int_alu",
-    FuType.INT_MULDIV: "mux_int_mul",
-    FuType.FP_ALU: "mux_fp_alu",
-    FuType.FP_MULDIV: "mux_fp_mul",
-}
-
 
 def kernel_spec(config: ProcessorConfig) -> dict:
     """The subset of the config the generated source depends on.
@@ -133,7 +126,7 @@ def _opinfo_literal(spec: dict) -> str:
         lines.append(
             f"    OpClass.{op.name}: ({op.is_fp}, {op.is_memory}, {op.is_load}, "
             f"{op.is_store}, {op.is_branch}, {spec['latencies'][op.name]}, "
-            f"{_MUX_EVENT[fu]!r}, {is_pipelined(op)}, {_FU_SLOT[fu]}),"
+            f"{fu.mux_event!r}, {is_pipelined(op)}, {_FU_SLOT[fu]}),"
         )
     lines.append("}")
     return "\n".join(lines)
@@ -384,12 +377,12 @@ if queue:
 
 
 def _fifo_choose_code(queues_var: str, map_var: str, tail_var: str,
-                      side_var: str, cap: int) -> str:
+                      cap: int) -> str:
     """Inlined ``FifoSide._choose_queue``: sets ``qi`` (None on stall).
 
-    Replicates the three placement heuristics including their event and
-    stall-counter side effects (the rule counters live on the side object
-    because the skip kernel's idle accounting reads them there).
+    Replicates the three placement heuristics and their event side
+    effects; a rule-1 stall (full producer queue, one operand) skips the
+    second-operand lookup and leaves ``qi`` as None.
     """
     return f"""\
 qi = None
@@ -403,9 +396,7 @@ if srcs_a:
         first = _q
 if first is not None and len({queues_var}[first]) < {cap}:
     qi = first
-elif first is not None and len(srcs_a) == 1:
-    {side_var}.stalls_rule1_full += 1
-else:
+elif first is None or len(srcs_a) > 1:
     second = None
     if len(srcs_a) > 1:
         _ev["qrename_read"] = _ev.get("qrename_read", 0) + 1
@@ -416,28 +407,22 @@ else:
     if second is not None:
         if len({queues_var}[second]) < {cap}:
             qi = second
-        else:
-            {side_var}.stalls_rule2_full += 1
     else:
         for _qi2, _q2 in enumerate({queues_var}):
             if not _q2:
                 qi = _qi2
-                break
-        else:
-            {side_var}.stalls_no_empty += 1"""
+                break"""
 
 
 def _fifo_place_code(queues_var: str, map_var: str, tail_var: str,
-                     side_var: str, cap: int, after_append: str = "") -> str:
+                     cap: int, after_append: str = "") -> str:
     """Inlined ``FifoSide.try_place`` + ``_append`` with stall break."""
-    choose = _fifo_choose_code(queues_var, map_var, tail_var, side_var, cap)
+    choose = _fifo_choose_code(queues_var, map_var, tail_var, cap)
     return f"""\
 {choose}
 if qi is None:
-    {side_var}.dispatch_stalls += 1
     rob._next_age = age
     stalled = True
-    blocked = inst
     break
 {queues_var}[qi].append(uop)
 uop.queue_index = qi
@@ -454,7 +439,6 @@ _INTERPRETED_PLACE = """\
 if not scheme.try_dispatch(uop, cycle):
     rob._next_age = age
     stalled = True
-    blocked = inst
     break"""
 
 
@@ -475,7 +459,6 @@ if _opinfo[inst.op][0]:
     if len(cq_fp) >= {fp_cap}:
         rob._next_age = age
         stalled = True
-        blocked = inst
         break
     cq_fp.append(uop)
     cq_rev[1] += 1
@@ -483,20 +466,19 @@ else:
     if len(cq_int) >= {int_cap}:
         rob._next_age = age
         stalled = True
-        blocked = inst
         break
     cq_int.append(uop)
     cq_rev[0] += 1
 _ev["iq_buff_write"] = _ev.get("iq_buff_write", 0) + 1"""
     int_place = _fifo_place_code(
-        "int_queues_list", "imap", "itail", "iside", spec["int_queue_entries"],
+        "int_queues_list", "imap", "itail", spec["int_queue_entries"],
         after_append=(
             "\nestimator.estimate(inst, cycle)" if kind == SCHEME_LATFIFO else ""
         ),
     )
     if kind == SCHEME_ISSUEFIFO:
         fp_place = _fifo_place_code(
-            "fp_queues_list", "fmap", "ftail", "fside", spec["fp_queue_entries"]
+            "fp_queues_list", "fmap", "ftail", spec["fp_queue_entries"]
         )
     else:  # latfifo estimator placement / mixbuff chains stay interpreted
         fp_place = _INTERPRETED_PLACE
@@ -705,7 +687,6 @@ def make_step(processor):
                 lsq.retire_store(head)
                 hierarchy.data_access_latency(head.inst.mem_addr, is_store=True)
             retired += 1
-        rob.committed += retired
         # stage 3: result broadcasts (wakeup energy)
         b = bc_wheel.pop(cycle, 0)
 {_indent(_broadcast_stage(spec), 8)}
@@ -716,7 +697,6 @@ def make_step(processor):
         # stage 5: in-order dispatch
         dispatched = 0
         stalled = False
-        blocked = None
         while (
             decode_queue
             and decode_queue[0][1] <= cycle
@@ -728,14 +708,11 @@ def make_step(processor):
                 break
             age = rob._next_age
             rob._next_age = age + 1
-            uop = InFlight(inst, [], None, None, len(rob_entries), age, cycle)
+            uop = InFlight(inst, age)
 {_indent(_dispatch_place_block(spec), 12)}
             decode_queue.popleft()
-            renamed = renamer.rename(inst.srcs, inst.dest)
-            uop.src_phys = renamed["src_phys"]
-            dp = renamed["dest_phys"]
+            uop.src_phys, dp, uop.prev_phys = renamer.rename(inst.srcs, inst.dest)
             uop.dest_phys = dp
-            uop.prev_phys = renamed["prev_phys"]
             if dp is not None:
                 fp_, ix = dp
                 (sb_fp if fp_ else sb_int)[ix] = _NEVER
@@ -744,7 +721,6 @@ def make_step(processor):
             if _opinfo[inst.op][3]:
                 lsq.add_store(uop)
             dispatched += 1
-        processor._dispatch_blocked_inst = blocked
         if stalled:
             stats.dispatch_stall_cycles += 1
         # stage 6: decode

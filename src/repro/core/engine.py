@@ -16,15 +16,15 @@ function; see :data:`_KERNELS`):
     issued, dispatched, decoded or fetched, and the fetch engine's state
     did not move), the machine is quiescent: every stage's decision next
     cycle is a pure function of frozen state plus the cycle number. The
-    kernel then asks every stateful component for its
-    ``next_activity_cycle()`` — the event wheel over the completion,
+    kernel then asks each component with a cycle-dependent boundary for
+    its ``next_activity_cycle()`` — the event wheel over the completion,
     broadcast and branch-resolution schedules, the I-cache fill timer,
     functional-unit busy windows and MixBUFF chain-latency code
     boundaries — and jumps straight to the earliest such event instead
     of spinning. A stalled LatFIFO FP placement never skips.
 
     Per-cycle accounting (issue-queue selection energy, ready-table
-    polling, dispatch-stall counters, occupancy integration) still
+    polling, the dispatch-stall count, occupancy integration) still
     accrues during quiescent cycles, so skipped spans are accounted in
     *interval form*: the kernel executes **one** extra quiescent cycle,
     measures the exact counter delta that cycle produced, and replays it
@@ -161,7 +161,7 @@ def run_skipping(processor, total: int, max_cycles: int, warmup_instructions: in
             continue  # nothing to skip — the next cycle is (or may be) live
         # Execute one more quiescent cycle to measure the exact per-cycle
         # accounting pattern of this span (selection energy, ready-table
-        # polls, stall counters, occupancy, ...).
+        # polls, dispatch stalls, occupancy).
         if cycle > max_cycles:
             raise _no_progress(processor, cycle, committed, total)
         before = processor.idle_accounting_snapshot()

@@ -32,11 +32,6 @@ class LoadStoreQueue:
         self._stores: Dict[int, InFlight] = {}
         self._unissued_stores = 0
         self.forwarded_loads = 0
-        self.conflict_delay_cycles = 0
-
-    @property
-    def in_flight_stores(self) -> int:
-        return len(self._stores)
 
     def add_store(self, uop: InFlight) -> None:
         """Register a dispatched store."""
@@ -101,7 +96,6 @@ class LoadStoreQueue:
             if known is None:
                 raise SimulationError("load issued before older store (gating bug)")
             if known > start:
-                self.conflict_delay_cycles += known - start
                 start = known
             if (store.inst.mem_addr or 0) // _FORWARD_GRANULARITY == load_block:
                 forwarding = store  # youngest older matching store wins
@@ -113,19 +107,3 @@ class LoadStoreQueue:
         """Remove a store at commit."""
         if self._stores.pop(uop.seq, None) is None:
             raise SimulationError("retiring unknown store")
-
-    def oldest_unissued_store_seq(self) -> int:
-        """Sequence of the oldest store still waiting to issue (or -1)."""
-        for seq, store in self._stores.items():
-            if store.store_addr_known_cycle is None:
-                return seq
-        return -1
-
-    def next_activity_cycle(self, cycle: int) -> Optional[int]:
-        """Skipping-kernel contract: all LSQ transitions are event-driven.
-
-        Load gating changes only when an older store issues or retires —
-        both are pipeline activity, never a pure function of the cycle
-        number — so the LSQ contributes no timer of its own.
-        """
-        return None

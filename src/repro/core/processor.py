@@ -47,20 +47,13 @@ from repro.core.uop import InFlight
 from repro.frontend.branch_predictor import HybridBranchPredictor
 from repro.frontend.fetch import FetchEngine
 from repro.isa.instructions import Instruction
-from repro.isa.opcodes import FuType, latency_for
+from repro.isa.opcodes import latency_for
 from repro.issue import build_scheme
 from repro.issue.base import IssueContext
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.trace import Trace
 
 __all__ = ["Processor"]
-
-_MUX_EVENT = {
-    FuType.INT_ALU: "mux_int_alu",
-    FuType.INT_MULDIV: "mux_int_mul",
-    FuType.FP_ALU: "mux_fp_alu",
-    FuType.FP_MULDIV: "mux_fp_mul",
-}
 
 _DECODE_LATENCY = 1
 
@@ -100,10 +93,6 @@ class Processor:
         self._branch_resolutions: Dict[int, List[InFlight]] = {}
         self.stats = SimulationStats(events=self.events)
         self._occupancy_accum = 0
-        # Instruction the issue scheme refused to place this cycle (None
-        # when dispatch was not scheme-stalled); the skipping kernel uses
-        # it to ask the scheme for its next placement-relevant cycle.
-        self._dispatch_blocked_inst: Optional[Instruction] = None
         self.kernel_telemetry = engine.KernelTelemetry()
 
     def _build_fu_pool(self) -> FuPool:
@@ -142,7 +131,7 @@ class Processor:
         else:
             complete = cycle + latency_for(op, fus)
         uop.complete_cycle = complete
-        self.events.add(_MUX_EVENT[uop.fu_type])
+        self.events.add(uop.fu_type.mux_event)
         if uop.dest_phys is not None:
             self.scoreboard.set_ready(uop.dest_phys, complete)
             self._broadcasts[complete] = self._broadcasts.get(complete, 0) + 1
@@ -187,7 +176,6 @@ class Processor:
     def _dispatch(self, cycle: int) -> int:
         dispatched = 0
         stalled = False
-        self._dispatch_blocked_inst = None
         while (
             self._decode_queue
             and self._decode_queue[0][1] <= cycle
@@ -197,27 +185,17 @@ class Processor:
             if self.rob.full or not self.renamer.can_rename(inst.dest):
                 stalled = True
                 break
-            uop = InFlight(
-                inst,
-                src_phys=[],
-                dest_phys=None,
-                prev_phys=None,
-                rob_index=self.rob.occupancy,
-                age=self.rob.allocate_age(),
-                dispatch_cycle=cycle,
-            )
+            uop = InFlight(inst, self.rob.allocate_age())
             if not self.scheme.try_dispatch(uop, cycle):
                 # Placement failed: roll the age allocator back so ages
                 # stay dense and retry next cycle.
                 self.rob.rollback_age()
                 stalled = True
-                self._dispatch_blocked_inst = inst
                 break
             self._decode_queue.popleft()
-            renamed = self.renamer.rename(inst.srcs, inst.dest)
-            uop.src_phys = renamed["src_phys"]
-            uop.dest_phys = renamed["dest_phys"]
-            uop.prev_phys = renamed["prev_phys"]
+            uop.src_phys, uop.dest_phys, uop.prev_phys = self.renamer.rename(
+                inst.srcs, inst.dest
+            )
             if uop.dest_phys is not None:
                 self.scoreboard.mark_pending(uop.dest_phys)
             self.rob.push(uop)
@@ -287,37 +265,34 @@ class Processor:
         result broadcasts and branch resolutions, the ROB head's
         completion, the I-cache fill timer, functional-unit busy windows
         and the scheme's own cycle-dependent boundaries (MixBUFF
-        chain-latency codes; a stalled LatFIFO FP placement reports the
-        current cycle, so it never skips). Returns ``None`` when nothing
-        is scheduled — a true deadlock.
+        chain-latency codes; LatFIFO reports the current cycle right
+        after a refused FP placement, so that stall never skips).
+        Returns ``None`` when nothing is scheduled — a true deadlock.
         """
         candidates = []
         if self._broadcasts:
             candidates.append(min(self._broadcasts))
         if self._branch_resolutions:
             candidates.append(min(self._branch_resolutions))
-        for component in (self.rob, self.fetch, self.fu_pool, self.lsq,
-                          self.scoreboard, self.scheme):
+        for component in (self.rob, self.fetch, self.fu_pool, self.scheme):
             when = component.next_activity_cycle(cycle)
-            if when is not None:
-                candidates.append(when)
-        if self._dispatch_blocked_inst is not None:
-            when = self.scheme.next_dispatch_activity_cycle(
-                self._dispatch_blocked_inst, cycle
-            )
             if when is not None:
                 candidates.append(when)
         upcoming = [when for when in candidates if when >= cycle]
         return min(upcoming) if upcoming else None
 
     def idle_accounting_snapshot(self) -> dict:
-        """Snapshot of every counter a quiescent cycle can move."""
+        """Snapshot of every counter a quiescent cycle can move.
+
+        All per-cycle accounting lives here: the energy ``events``, the
+        dispatch-stall count and the occupancy integral. Components keep
+        no per-cycle counters of their own (the ``skip-safety`` analysis
+        rule flags one).
+        """
         return {
             "events": self.events.as_dict(),
             "dispatch_stall_cycles": self.stats.dispatch_stall_cycles,
-            "fetch_blocked_cycles": self.fetch.blocked_cycles,
             "occupancy_accum": self._occupancy_accum,
-            "scheme": self.scheme.idle_counters(),
         }
 
     def advance_idle(self, before: dict, n_cycles: int) -> None:
@@ -326,7 +301,7 @@ class Processor:
         ``before`` is an :meth:`idle_accounting_snapshot` taken just
         before one fully executed quiescent cycle; the delta between then
         and now is exactly what each skipped cycle would have accrued
-        (selection energy, ready-table polls, stall counters, occupancy
+        (selection energy, ready-table polls, dispatch stalls, occupancy
         integration), so it is replayed ``n_cycles`` times.
         """
         before_events = before["events"]
@@ -337,13 +312,9 @@ class Processor:
         self.stats.dispatch_stall_cycles += n_cycles * (
             self.stats.dispatch_stall_cycles - before["dispatch_stall_cycles"]
         )
-        self.fetch.blocked_cycles += n_cycles * (
-            self.fetch.blocked_cycles - before["fetch_blocked_cycles"]
-        )
         self._occupancy_accum += n_cycles * (
             self._occupancy_accum - before["occupancy_accum"]
         )
-        self.scheme.apply_idle_counters(before["scheme"], n_cycles)
 
     # ------------------------------------------------------------------
     # Main entry point.

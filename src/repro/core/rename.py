@@ -10,7 +10,7 @@ commits (the standard R10K scheme).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from repro.common.errors import SimulationError
 from repro.isa.instructions import RegisterRef
@@ -35,8 +35,6 @@ class _RegisterFile:
     """Free list + mapping for one register class."""
 
     def __init__(self, num_arch: int, num_phys: int) -> None:
-        self.num_arch = num_arch
-        self.num_phys = num_phys
         # Architectural register i starts mapped to physical register i.
         self.map: List[int] = list(range(num_arch))
         self.free: Deque[int] = deque(range(num_arch, num_phys))
@@ -80,14 +78,15 @@ class RenameMap:
         """Current physical register holding architectural ``ref``."""
         return self._file(ref.is_fp).map[ref.index]
 
-    def rename(self, srcs, dest: Optional[RegisterRef]) -> Dict[str, object]:
+    def rename(self, srcs, dest: Optional[RegisterRef]) -> tuple:
         """Rename one instruction.
 
-        Returns a dict with ``src_phys`` (list of physical indices paired
-        with their class), ``dest_phys`` and ``prev_phys`` (the physical
-        register previously mapped to the destination, to be freed when
-        this instruction commits). Raises :class:`SimulationError` if no
-        register is free — callers must stall instead.
+        Returns ``(src_phys, dest_phys, prev_phys)``: the sources'
+        physical registers (each paired with its class), the new
+        destination register and the one previously mapped to the
+        destination, to be freed when this instruction commits. Raises
+        :class:`SimulationError` if no register is free — callers must
+        stall instead.
         """
         src_phys = [(ref.is_fp, self.lookup(ref)) for ref in srcs]
         dest_phys = None
@@ -100,7 +99,7 @@ class RenameMap:
             new_phys = regfile.free.popleft()
             regfile.map[dest.index] = new_phys
             dest_phys = (dest.is_fp, new_phys)
-        return {"src_phys": src_phys, "dest_phys": dest_phys, "prev_phys": prev_phys}
+        return src_phys, dest_phys, prev_phys
 
     def release(self, phys: Optional[tuple]) -> None:
         """Return a physical register to the free list (at commit)."""

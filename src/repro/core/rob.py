@@ -27,7 +27,6 @@ class ReorderBuffer:
         self.capacity = entries
         self._entries: Deque[InFlight] = deque()
         self._next_age = 0
-        self.committed = 0
 
     @property
     def occupancy(self) -> int:
@@ -82,12 +81,7 @@ class ReorderBuffer:
             and self._entries[0].complete_cycle <= cycle
         ):
             retired.append(self._entries.popleft())
-        self.committed += len(retired)
         return retired
-
-    def head_seq(self) -> int:
-        """Sequence number of the oldest in-flight instruction (or -1)."""
-        return self._entries[0].seq if self._entries else -1
 
     def next_activity_cycle(self, cycle: int) -> Optional[int]:
         """Skipping-kernel contract: next cycle commit could retire.

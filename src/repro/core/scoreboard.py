@@ -9,7 +9,7 @@ architectural state is available at cycle 0.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 __all__ = ["Scoreboard", "NEVER"]
 
@@ -86,13 +86,3 @@ class Scoreboard:
         """True once the producer has issued (ready cycle is known)."""
         is_fp, index = phys
         return (self._fp if is_fp else self._int)[index] < _NEVER
-
-    def next_activity_cycle(self, cycle: int) -> Optional[int]:
-        """Skipping-kernel contract: readiness transitions need no timer.
-
-        Every ``set_ready`` call is paired with a result-broadcast entry
-        in the pipeline's event wheel (``Processor._schedule_completion``
-        records both under the same completion cycle), so a register
-        becoming ready is always covered by the broadcast wake source.
-        """
-        return None

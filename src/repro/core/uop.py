@@ -1,7 +1,7 @@
 """In-flight instruction state.
 
 The trace is immutable; everything the pipeline learns about an
-instruction (renamed registers, ROB slot, issue/completion cycles, queue
+instruction (renamed registers, age, issue/completion cycles, queue
 placement) lives in an :class:`InFlight` wrapper created at dispatch.
 """
 
@@ -31,9 +31,7 @@ class InFlight:
         "src_phys",
         "dest_phys",
         "prev_phys",
-        "rob_index",
         "age",
-        "dispatch_cycle",
         "issue_cycle",
         "complete_cycle",
         "queue_index",
@@ -43,26 +41,16 @@ class InFlight:
         "store_addr_known_cycle",
     )
 
-    def __init__(
-        self,
-        inst: Instruction,
-        src_phys: List[Tuple[bool, int]],
-        dest_phys: Optional[Tuple[bool, int]],
-        prev_phys: Optional[Tuple[bool, int]],
-        rob_index: int,
-        age: int,
-        dispatch_cycle: int,
-    ) -> None:
+    def __init__(self, inst: Instruction, age: int) -> None:
         self.inst = inst
         self.op: OpClass = inst.op
         self.seq: int = inst.seq
         self.fu_type: FuType = inst.op.fu_type
-        self.src_phys = src_phys
-        self.dest_phys = dest_phys
-        self.prev_phys = prev_phys
-        self.rob_index = rob_index
+        # Renamed registers, filled in once placement succeeds.
+        self.src_phys: List[Tuple[bool, int]] = []
+        self.dest_phys: Optional[Tuple[bool, int]] = None
+        self.prev_phys: Optional[Tuple[bool, int]] = None
         self.age = age
-        self.dispatch_cycle = dispatch_cycle
         self.issue_cycle: Optional[int] = None
         self.complete_cycle: Optional[int] = None
         # Multi-queue scheme bookkeeping.

@@ -48,8 +48,6 @@ class BranchTargetBuffer:
         self.associativity = associativity
         # Each set: list of (tag, target), most recently used last.
         self._sets: List[List[tuple]] = [[] for __ in range(self.num_sets)]
-        self.lookups = 0
-        self.hits = 0
 
     def _index_tag(self, pc: int) -> tuple:
         word = pc >> 2
@@ -58,12 +56,10 @@ class BranchTargetBuffer:
     def lookup(self, pc: int) -> Optional[int]:
         """Predicted target for ``pc`` or None on a BTB miss."""
         index, tag = self._index_tag(pc)
-        self.lookups += 1
         ways = self._sets[index]
         for i, (entry_tag, target) in enumerate(ways):
             if entry_tag == tag:
                 ways.append(ways.pop(i))
-                self.hits += 1
                 return target
         return None
 
@@ -80,11 +76,11 @@ class BranchTargetBuffer:
             ways.pop(0)
 
     def state_snapshot(self) -> List[List[list]]:
-        """JSON-friendly copy of the tag/target/LRU state (no counters)."""
+        """JSON-friendly copy of the tag/target/LRU state."""
         return [[[tag, target] for tag, target in ways] for ways in self._sets]
 
     def restore_state(self, snapshot: List[List[list]]) -> None:
-        """Restore from :meth:`state_snapshot`; lookup counters untouched."""
+        """Restore from :meth:`state_snapshot`."""
         self._sets = [
             [(int(tag), int(target)) for tag, target in ways] for ways in snapshot
         ]

@@ -48,7 +48,6 @@ class FetchEngine:
         self._blocking_branch_seq: Optional[int] = None
         self._current_line: Optional[int] = None
         self.fetched_instructions = 0
-        self.blocked_cycles = 0
 
     @property
     def exhausted(self) -> bool:
@@ -101,21 +100,9 @@ class FetchEngine:
                 cycle + 1 + self.config.mispredict_redirect_penalty,
             )
 
-    def flush_after(self, seq: int) -> None:
-        """Drop queued instructions younger than ``seq``.
-
-        Only used by tests and by recovery paths that squash the fetch
-        queue; in the normal trace-driven flow mispredicted branches stop
-        fetch before younger instructions enter the queue.
-        """
-        while self.queue and self.queue[-1].seq > seq:
-            self.queue.pop()
-            self._position -= 1
-
     def fetch_cycle(self, cycle: int) -> int:
         """Fetch up to ``fetch_width`` instructions; returns how many."""
         if self._blocking_branch_seq is not None or cycle < self._icache_ready_cycle:
-            self.blocked_cycles += 1
             return 0
         fetched = 0
         line_bytes = self.config.icache.line_bytes

@@ -16,12 +16,20 @@ __all__ = ["OpClass", "FuType", "fu_type_for", "latency_for", "is_pipelined"]
 
 
 class FuType(enum.Enum):
-    """Functional-unit categories of Table 1."""
+    """Functional-unit categories of Table 1.
+
+    ``mux_event`` is the energy event charged to the unit's operand
+    multiplexer for each instruction issued to it; like ``OpClass``'s
+    facts it is a plain attribute, read once per issued instruction.
+    """
 
     INT_ALU = "int_alu"
     INT_MULDIV = "int_muldiv"
     FP_ALU = "fp_alu"
     FP_MULDIV = "fp_muldiv"
+
+    def __init__(self, value: str) -> None:
+        self.mux_event: str = "mux_" + value.replace("muldiv", "mul")
 
 
 # Keyed by OpClass value. Memory ops and branches use an integer ALU for

@@ -11,7 +11,7 @@ budgets, memory-port budget and load disambiguation gating.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.common.config import ProcessorConfig
 from repro.common.stats import StatCounters
@@ -21,7 +21,7 @@ from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
 from repro.isa.opcodes import latency_for
 
-__all__ = ["IssueContext", "IssueScheme", "SideIdleCountersMixin"]
+__all__ = ["IssueContext", "IssueScheme"]
 
 
 class IssueContext:
@@ -99,25 +99,6 @@ class IssueContext:
         return True
 
 
-class SideIdleCountersMixin:
-    """Idle-counter plumbing for schemes built from two side objects.
-
-    Assumes ``int_side`` / ``fp_side`` attributes each exposing
-    ``idle_counters()`` / ``apply_idle_counters(before, n)`` (see
-    :class:`~repro.issue.fifo_side.FifoSide`).
-    """
-
-    def idle_counters(self) -> Dict[str, dict]:
-        return {
-            "int": self.int_side.idle_counters(),
-            "fp": self.fp_side.idle_counters(),
-        }
-
-    def apply_idle_counters(self, before: Dict[str, dict], n_cycles: int) -> None:
-        self.int_side.apply_idle_counters(before["int"], n_cycles)
-        self.fp_side.apply_idle_counters(before["fp"], n_cycles)
-
-
 class IssueScheme:
     """Base class for the four issue-queue organizations."""
 
@@ -152,49 +133,28 @@ class IssueScheme:
     def on_cycle_end(self, cycle: int) -> None:
         """Per-cycle energy bookkeeping hook.
 
-        Skip-safety contract: implementations may only move counters as
-        a pure function of frozen scheme state (the skipping kernel
-        replays a measured quiescent cycle's counter delta in closed
-        form); they must not make cycle-number-dependent decisions
-        unless those boundaries are reported by
+        Skip-safety contract: implementations may only add to
+        ``events``, as a pure function of frozen scheme state (the
+        skipping kernel replays a measured quiescent cycle's event delta
+        in closed form); they must not make cycle-number-dependent
+        decisions unless those boundaries are reported by
         :meth:`next_activity_cycle`.
         """
 
     # -- skipping-kernel contract ------------------------------------
     def next_activity_cycle(self, cycle: int) -> Optional[int]:
-        """Next cycle at which the scheme's *issue-side* behaviour could
-        change without any pipeline activity occurring first.
+        """Next cycle at which the scheme's behaviour could change
+        without any pipeline activity occurring first.
 
         Most schemes are purely event-driven: operand readiness changes
-        arrive with result broadcasts and queue contents change only on
-        issue/dispatch, so the default is ``None``. MixBUFF overrides
+        arrive with result broadcasts, queue contents change only on
+        issue/dispatch, and a refused placement is unblocked only by
+        such activity, so the default is ``None``. MixBUFF overrides
         this with its chain-latency code boundaries, whose 2-bit
-        compression is a function of the cycle number.
+        compression is a function of the cycle number; LatFIFO with the
+        current cycle right after a refused FP placement.
         """
         return None
-
-    def next_dispatch_activity_cycle(self, inst, cycle: int) -> Optional[int]:
-        """Next cycle at which placing ``inst`` (the instruction dispatch
-        is currently stalled on) could succeed, absent other activity.
-
-        ``None`` means placement can only be unblocked by activity the
-        event wheel already tracks (an issue draining a queue, a commit
-        freeing the ROB). LatFIFO overrides this for FP instructions and
-        returns ``cycle`` (never skip): its FP placement compares a
-        dispatch-time *estimate* that grows with the cycle number, so a
-        stalled placement can unstick by itself.
-        """
-        return None
-
-    def idle_counters(self) -> Dict[str, int]:
-        """Snapshot of scheme-internal diagnostic counters a quiescent
-        cycle can move (dispatch-stall tallies and the like). Paired
-        with :meth:`apply_idle_counters` for interval-form accounting."""
-        return {}
-
-    def apply_idle_counters(self, before: Dict[str, int], n_cycles: int) -> None:
-        """Replay the counter delta since ``before`` ``n_cycles`` times
-        (the closed-form accounting for a skipped quiescent span)."""
 
     # -- introspection -----------------------------------------------
     def occupancy(self) -> int:

@@ -32,8 +32,7 @@ class ConventionalIssueQueue(IssueScheme):
     Skipping-kernel notes: selection scans age order and issues on
     operand readiness alone, and readiness transitions always ride the
     broadcast schedule, so the scheme needs no wake timers (base-class
-    ``next_activity_cycle`` of ``None``) and has no per-cycle stall
-    diagnostics of its own (empty ``idle_counters``); the per-cycle
+    ``next_activity_cycle`` of ``None``); the per-cycle
     ``iq_select_cycles`` energy accrual is captured by the kernel's
     measured-delta interval accounting.
 

@@ -48,11 +48,6 @@ class FifoSide:
         self.events = events
         self._event_prefix = event_prefix
         self.table = QueueRenameTable(events, qrename_prefix)
-        self.dispatch_stalls = 0
-        # Stall attribution (diagnostics): which placement rule failed.
-        self.stalls_rule1_full = 0
-        self.stalls_rule2_full = 0
-        self.stalls_no_empty = 0
 
     # -- placement ----------------------------------------------------
     def _queue_full(self, index: int) -> bool:
@@ -69,7 +64,6 @@ class FifoSide:
         """Apply the dispatch heuristics; returns False on stall."""
         queue_index = self._choose_queue(uop)
         if queue_index is None:
-            self.dispatch_stalls += 1
             return False
         self._append(uop, queue_index)
         return True
@@ -80,18 +74,15 @@ class FifoSide:
             if not self._queue_full(first):
                 return first
             if len(uop.inst.srcs) == 1:
-                self.stalls_rule1_full += 1
                 return None  # rule 1: producer queue full, single operand
         second = self._producer_queue(uop, 1)
         if second is not None:
             if not self._queue_full(second):
                 return second
-            self.stalls_rule2_full += 1
             return None  # rule 2: producer queue full
         for index, queue in enumerate(self.queues):
             if not queue:
                 return index
-        self.stalls_no_empty += 1
         return None  # rule 3: no empty FIFO
 
     def _append(self, uop: InFlight, queue_index: int) -> None:
@@ -117,31 +108,6 @@ class FifoSide:
                 issued.append(head)
         return issued
 
-    # -- skipping-kernel support ----------------------------------------
-    def idle_counters(self) -> dict:
-        """Diagnostic counters a quiescent (stalled-dispatch) cycle moves."""
-        return {
-            "dispatch_stalls": self.dispatch_stalls,
-            "stalls_rule1_full": self.stalls_rule1_full,
-            "stalls_rule2_full": self.stalls_rule2_full,
-            "stalls_no_empty": self.stalls_no_empty,
-        }
-
-    def apply_idle_counters(self, before: dict, n_cycles: int) -> None:
-        """Replay the per-cycle counter delta for a skipped idle span."""
-        self.dispatch_stalls += n_cycles * (
-            self.dispatch_stalls - before["dispatch_stalls"]
-        )
-        self.stalls_rule1_full += n_cycles * (
-            self.stalls_rule1_full - before["stalls_rule1_full"]
-        )
-        self.stalls_rule2_full += n_cycles * (
-            self.stalls_rule2_full - before["stalls_rule2_full"]
-        )
-        self.stalls_no_empty += n_cycles * (
-            self.stalls_no_empty - before["stalls_no_empty"]
-        )
-
     # -- misc -----------------------------------------------------------
     def occupancy(self) -> int:
         return sum(map(len, self.queues))  # map beats a genexpr here: hot path
@@ -149,6 +115,3 @@ class FifoSide:
     def clear_mapping(self) -> None:
         """Branch misprediction recovery: clear the register→queue table."""
         self.table.clear()
-
-    def queue_lengths(self) -> List[int]:
-        return [len(queue) for queue in self.queues]

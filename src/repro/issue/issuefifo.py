@@ -12,13 +12,13 @@ from typing import List
 from repro.common.config import ProcessorConfig
 from repro.common.stats import StatCounters
 from repro.core.uop import InFlight
-from repro.issue.base import IssueContext, IssueScheme, SideIdleCountersMixin
+from repro.issue.base import IssueContext, IssueScheme
 from repro.issue.fifo_side import FifoSide
 
 __all__ = ["IssueFifoScheme"]
 
 
-class IssueFifoScheme(SideIdleCountersMixin, IssueScheme):
+class IssueFifoScheme(IssueScheme):
     """Dependence-based FIFOs for both the integer and FP sides.
 
     Skipping-kernel notes: placement and head-issue decisions depend

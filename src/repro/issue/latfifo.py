@@ -16,7 +16,7 @@ from typing import List, Optional
 from repro.common.config import ProcessorConfig
 from repro.common.stats import StatCounters
 from repro.core.uop import InFlight
-from repro.issue.base import IssueContext, IssueScheme, SideIdleCountersMixin
+from repro.issue.base import IssueContext, IssueScheme
 from repro.issue.fifo_side import FifoSide
 from repro.issue.latency_estimator import IssueTimeEstimator
 
@@ -44,7 +44,6 @@ class LatencyPlacedFifoSide(FifoSide):
                 best = index
                 best_tail = tail_est
         if best is None:
-            self.dispatch_stalls += 1
             return False
         uop.est_issue_cycle = est_issue
         self._append(uop, best)
@@ -53,7 +52,7 @@ class LatencyPlacedFifoSide(FifoSide):
         return True
 
 
-class LatFifoScheme(SideIdleCountersMixin, IssueScheme):
+class LatFifoScheme(IssueScheme):
     """IssueFIFO integer side + latency-placed FP side."""
 
     name = "latfifo"
@@ -69,6 +68,8 @@ class LatFifoScheme(SideIdleCountersMixin, IssueScheme):
         )
         self.estimator = IssueTimeEstimator(config)
         self._distributed = scheme.distributed_fus
+        # Cycle of the latest refused FP placement (next_activity_cycle).
+        self._fp_refused_cycle: Optional[int] = None
 
     def try_dispatch(self, uop: InFlight, cycle: int) -> bool:
         if not uop.op.is_fp:
@@ -80,7 +81,10 @@ class LatFifoScheme(SideIdleCountersMixin, IssueScheme):
             self.estimator.estimate(uop.inst, cycle)
             return True
         est_issue = self.estimator.estimate(uop.inst, cycle)
-        return self.fp_side.place_by_estimate(uop, est_issue)
+        if self.fp_side.place_by_estimate(uop, est_issue):
+            return True
+        self._fp_refused_cycle = cycle
+        return False
 
     def select_and_issue(self, ctx: IssueContext) -> List[InFlight]:
         issued = self.int_side.issue_heads(ctx, self._distributed)
@@ -94,16 +98,17 @@ class LatFifoScheme(SideIdleCountersMixin, IssueScheme):
         self.int_side.clear_mapping()
         self.fp_side.clear_mapping()
 
-    def next_dispatch_activity_cycle(self, inst, cycle: int) -> Optional[int]:
+    def next_activity_cycle(self, cycle: int) -> Optional[int]:
         """Skipping-kernel contract: a stalled FP placement never skips.
 
         FP placement compares an estimated issue cycle that grows with
-        the cycle number, so the stall can dissolve by itself; returning
-        ``cycle`` makes the kernel execute every such cycle. The integer
-        side is plain FIFO placement, unblocked only by issue activity
-        the event wheel already tracks.
+        the cycle number, so the stall can dissolve by itself. When the
+        cycle just executed (``cycle - 1``) refused an FP placement this
+        returns ``cycle``, so the kernel executes every such cycle. The
+        integer side is plain FIFO placement, unblocked only by issue
+        activity the event wheel already tracks.
         """
-        return cycle if inst.op.is_fp else None
+        return cycle if self._fp_refused_cycle == cycle - 1 else None
 
     def occupancy(self) -> int:
         return self.int_side.occupancy() + self.fp_side.occupancy()

@@ -22,7 +22,7 @@ from repro.common.config import ProcessorConfig
 from repro.common.stats import StatCounters
 from repro.core.uop import InFlight
 from repro.isa.opcodes import latency_for
-from repro.issue.base import IssueContext, IssueScheme, SideIdleCountersMixin
+from repro.issue.base import IssueContext, IssueScheme
 from repro.issue.fifo_side import FifoSide
 from repro.issue.mapping import ChainRenameTable
 from repro.issue.selection import SelectableEntry, select_entry
@@ -71,7 +71,6 @@ class MixBuffSide:
         self.table = ChainRenameTable(events, "qrename")
         self.queues: List[List[InFlight]] = [[] for __ in range(num_queues)]
         self.chains: List[Dict[int, _Chain]] = [{} for __ in range(num_queues)]
-        self.dispatch_stalls = 0
         self._load_value_latency = (
             config.fus.address_latency + config.dcache.hit_latency
         )
@@ -115,7 +114,6 @@ class MixBuffSide:
             return True
         free = self._lowest_free_chain()
         if free is None:
-            self.dispatch_stalls += 1
             return False
         queue_index, chain_id = free
         chain = _Chain(chain_id)
@@ -212,14 +210,6 @@ class MixBuffSide:
         return latency_for(uop.op, self.config.fus)
 
     # -- skipping-kernel support ------------------------------------------
-    def idle_counters(self) -> dict:
-        return {"dispatch_stalls": self.dispatch_stalls}
-
-    def apply_idle_counters(self, before: dict, n_cycles: int) -> None:
-        self.dispatch_stalls += n_cycles * (
-            self.dispatch_stalls - before["dispatch_stalls"]
-        )
-
     def next_code_boundary(self, cycle: int, scoreboard) -> Optional[int]:
         """Next cycle a chain's 2-bit latency code can change by itself.
 
@@ -264,7 +254,7 @@ class MixBuffSide:
         self.table.clear()
 
 
-class MixBuffScheme(SideIdleCountersMixin, IssueScheme):
+class MixBuffScheme(IssueScheme):
     """IssueFIFO integer side + MixBUFF FP buffers."""
 
     name = "mixbuff"

@@ -68,10 +68,6 @@ class MemoryHierarchy:
         self.dcache.restore_state(dcache)
         self.l2.restore_state(l2)
 
-    def dcache_hit_latency(self) -> int:
-        """The L1D hit latency (the load latency assumed at dispatch)."""
-        return self.config.dcache.hit_latency
-
     def collect_events(self, events: StatCounters) -> None:
         """Export access counts for the energy model."""
         events.add("icache_accesses", self.icache.accesses)

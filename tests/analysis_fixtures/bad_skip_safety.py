@@ -3,8 +3,8 @@
 
 ``BadSide.step`` mutates per-cycle state with no
 ``next_activity_cycle()``-family contract anywhere in its MRO, and
-``try_place`` accrues a counter that never appears in
-``idle_counters()``/``apply_idle_counters()``.
+``try_place`` accrues a counter on the component itself instead of in
+the processor's events, so skipped spans never replay it.
 """
 
 
@@ -19,13 +19,7 @@ class BadSide:
         self.busy_cycles += 1
 
     def try_place(self, inst) -> bool:
-        # Counter accrued on the dispatch path but never registered for
-        # interval accounting.
+        # Counter accrued on the dispatch path, outside the interval
+        # accounting.
         self.dispatch_stalls += 1
         return False
-
-    def idle_counters(self) -> dict:
-        return {}
-
-    def apply_idle_counters(self, counters: dict, span: int) -> None:
-        return None

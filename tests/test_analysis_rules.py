@@ -46,16 +46,14 @@ class TestSensitivity:
 
 class TestRuleSpecifics:
     def test_skip_safety_inherited_contract_resolves_cross_file(self, tmp_path):
-        # The base class registers the counter and carries the next_*
-        # contract; the subclass mutating in try_place must be clean.
+        # The base class carries the next_* contract; the subclass
+        # mutating in step and counting through the processor's events
+        # in try_place must be clean.
         (tmp_path / "base.py").write_text(
             "# repro-fixture-module: repro.issue.base_fx\n"
             "class GoodBase:\n"
             "    def next_activity_cycle(self, cycle):\n"
             "        return None\n"
-            "\n"
-            "    def idle_counters(self):\n"
-            "        return {'stalls': self.stalls}\n"
         )
         (tmp_path / "sub.py").write_text(
             "# repro-fixture-module: repro.issue.sub_fx\n"
@@ -64,16 +62,51 @@ class TestRuleSpecifics:
             "\n"
             "class GoodSub(GoodBase):\n"
             "    def try_place(self, inst):\n"
-            "        self.stalls += 1\n"
+            "        self.events.add('stalls')\n"
             "        return False\n"
             "\n"
             "    def step(self, cycle):\n"
-            "        self.stalls += 1\n"
+            "        self.last_cycle = cycle\n"
         )
         report = run_analysis(
             [tmp_path], base=tmp_path, rules=resolve_rules(["skip-safety"])
         )
         assert report.findings == []
+
+    def test_skip_safety_flags_component_counter_even_if_replayed(self, tmp_path):
+        # Interval accounting replays only the processor's own counters,
+        # so naming a component counter in an idle_counters() method no
+        # longer excuses it.
+        (tmp_path / "side.py").write_text(
+            "# repro-fixture-module: repro.issue.side_fx\n"
+            "class Side:\n"
+            "    def next_activity_cycle(self, cycle):\n"
+            "        return None\n"
+            "\n"
+            "    def try_place(self, inst):\n"
+            "        self.stalls += 1\n"
+            "        return False\n"
+            "\n"
+            "    def idle_counters(self):\n"
+            "        return {'stalls': self.stalls}\n"
+        )
+        report = run_analysis(
+            [tmp_path], base=tmp_path, rules=resolve_rules(["skip-safety"])
+        )
+        assert [f.symbol for f in report.findings] == ["Side.try_place.stalls"]
+        assert "processor's events" in report.findings[0].message
+
+    def test_skip_safety_fixture_trips_both_halves(self):
+        # CI checks only the fixture's exit status, which either half of
+        # the rule alone produces; pin one finding from each.
+        fixture = fixture_for("skip-safety")
+        report = run_analysis(
+            [fixture], base=FIXTURES, rules=resolve_rules(["skip-safety"])
+        )
+        assert sorted(f.symbol for f in report.findings) == [
+            "BadSide.step",
+            "BadSide.try_place.dispatch_stalls",
+        ]
 
     def test_determinism_allows_seeded_rng_and_sorted_walks(self, tmp_path):
         (tmp_path / "ok.py").write_text(

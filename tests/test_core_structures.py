@@ -17,15 +17,10 @@ from tests.util import alu, f, load, r, store
 
 
 def make_uop(inst, seq_age=None, src_phys=(), dest_phys=None):
-    return InFlight(
-        inst,
-        src_phys=list(src_phys),
-        dest_phys=dest_phys,
-        prev_phys=None,
-        rob_index=0,
-        age=seq_age if seq_age is not None else inst.seq,
-        dispatch_cycle=0,
-    )
+    uop = InFlight(inst, seq_age if seq_age is not None else inst.seq)
+    uop.src_phys = list(src_phys)
+    uop.dest_phys = dest_phys
+    return uop
 
 
 class TestRenameMap:
@@ -39,17 +34,17 @@ class TestRenameMap:
 
     def test_rename_allocates_new_physical(self):
         rm = self.make()
-        result = rm.rename([r(1)], r(2))
-        assert result["src_phys"] == [(False, 1)]
-        assert result["dest_phys"] == (False, 32)  # first free
-        assert result["prev_phys"] == (False, 2)
+        src_phys, dest_phys, prev_phys = rm.rename([r(1)], r(2))
+        assert src_phys == [(False, 1)]
+        assert dest_phys == (False, 32)  # first free
+        assert prev_phys == (False, 2)
 
     def test_free_count_decreases_then_recovers(self):
         rm = self.make()
         assert rm.free_registers(False) == 128
-        result = rm.rename([], r(1))
+        __, __, prev_phys = rm.rename([], r(1))
         assert rm.free_registers(False) == 127
-        rm.release(result["prev_phys"])
+        rm.release(prev_phys)
         assert rm.free_registers(False) == 128
 
     def test_exhaustion(self):
@@ -68,16 +63,16 @@ class TestRenameMap:
 
     def test_double_free_rejected(self):
         rm = self.make()
-        result = rm.rename([], r(1))
-        rm.release(result["prev_phys"])
+        __, __, prev_phys = rm.rename([], r(1))
+        rm.release(prev_phys)
         with pytest.raises(SimulationError):
-            rm.release(result["prev_phys"])
+            rm.release(prev_phys)
 
     def test_consumer_sees_latest_mapping(self):
         rm = self.make()
-        first = rm.rename([], r(1))
-        renamed = rm.rename([r(1)], r(2))
-        assert renamed["src_phys"] == [first["dest_phys"]]
+        __, first_dest, __ = rm.rename([], r(1))
+        src_phys, __, __ = rm.rename([r(1)], r(2))
+        assert src_phys == [first_dest]
 
     @given(st.lists(st.integers(0, 31), max_size=100))
     @settings(max_examples=30, deadline=None)
@@ -88,9 +83,9 @@ class TestRenameMap:
         for dest in dests:
             if not rm.can_rename(r(dest)):
                 break
-            result = rm.rename([], r(dest))
+            __, __, prev_phys = rm.rename([], r(dest))
             allocated += 1
-            rm.release(result["prev_phys"])
+            rm.release(prev_phys)
             freed += 1
         assert rm.free_registers(False) == 128 - allocated + freed
 

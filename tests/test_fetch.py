@@ -79,8 +79,11 @@ class TestFetch:
         config = default_config()
         engine = FetchEngine(config, trace, MemoryHierarchy(config))  # cold
         assert engine.fetch_cycle(0) == 0  # miss: line not ready
-        assert engine.blocked_cycles == 0  # stall begins next cycle
-        assert engine.fetch_cycle(1) == 0
+        fill = engine.next_activity_cycle(1)  # the skip kernel's wake
+        assert fill > 1
+        for cycle in range(1, fill):
+            assert engine.fetch_cycle(cycle) == 0
+        assert engine.fetch_cycle(fill) == 4  # the line arrived
 
     def test_exhausted_after_full_trace(self):
         trace = make_trace([alu(i, r(1)) for i in range(4)])

@@ -15,7 +15,7 @@ from tests.util import alu, r
 
 
 def make_uop(inst, age=None):
-    return InFlight(inst, [], None, None, 0, age if age is not None else inst.seq, 0)
+    return InFlight(inst, age if age is not None else inst.seq)
 
 
 @pytest.fixture
@@ -26,6 +26,23 @@ def side():
 def place(side, uop):
     assert side.try_place(uop, cycle=0)
     return uop
+
+
+def placement_state(side):
+    """Everything a placement can change: queues and the rename table."""
+    return (
+        [list(queue) for queue in side.queues],
+        dict(side.table._map),
+        dict(side.table._tail_reg),
+    )
+
+
+def assert_stalls(side, uop):
+    """``try_place`` refuses ``uop`` and leaves the side untouched."""
+    before = placement_state(side)
+    assert not side.try_place(uop, 0)
+    assert placement_state(side) == before
+    assert uop.queue_index is None
 
 
 class TestPlacement:
@@ -48,15 +65,13 @@ class TestPlacement:
     def test_full_producer_queue_single_operand_stalls(self, side):
         place(side, make_uop(alu(0, r(1))))
         place(side, make_uop(alu(1, r(1), [r(1)])))  # queue 0 now full (2 entries)
-        assert not side.try_place(make_uop(alu(2, r(3), [r(1)])), 0)
-        assert side.stalls_rule1_full == 1
+        assert_stalls(side, make_uop(alu(2, r(3), [r(1)])))
 
     def test_no_empty_fifo_stalls(self, side):
         for i in range(4):
             place(side, make_uop(alu(i, r(i + 1))))
         # A fifth independent chain has nowhere to go.
-        assert not side.try_place(make_uop(alu(4, r(9))), 0)
-        assert side.stalls_no_empty == 1
+        assert_stalls(side, make_uop(alu(4, r(9))))
 
     def test_consumer_can_follow_issued_producer_marker(self, side):
         # The table entry survives the producer's issue (hardware table

@@ -60,6 +60,15 @@ class TestFuMapping:
         for op in (OpClass.LOAD, OpClass.STORE, OpClass.FP_LOAD, OpClass.BRANCH):
             assert fu_type_for(op) is FuType.INT_ALU
 
+    def test_mux_event_per_unit_type(self):
+        # The energy model weighs these names (EnergyModel mux weights).
+        assert {fu: fu.mux_event for fu in FuType} == {
+            FuType.INT_ALU: "mux_int_alu",
+            FuType.INT_MULDIV: "mux_int_mul",
+            FuType.FP_ALU: "mux_fp_alu",
+            FuType.FP_MULDIV: "mux_fp_mul",
+        }
+
 
 class TestLatencies:
     def test_table1_values(self):

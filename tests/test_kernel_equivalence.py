@@ -266,17 +266,28 @@ class TestKernelTelemetry:
 class TestWakeSources:
     def test_stalled_latfifo_fp_placement_never_skips(self):
         # LatFIFO's FP placement compares an estimate that grows with
-        # the cycle number, so a stalled FP instruction reports the
-        # current cycle (no skip); an integer stall waits on issue
-        # activity the event wheel already tracks.
+        # the cycle number, so right after a refused FP placement the
+        # scheme reports the current cycle (no skip); an integer stall
+        # waits on issue activity the event wheel already tracks.
         from repro.common.stats import StatCounters
+        from repro.core.uop import InFlight
         from repro.issue.latfifo import LatFifoScheme
 
-        scheme = LatFifoScheme(default_config(LATFIFO_8x8_8x16), StatCounters())
-        fp_op = fpalu(0, f(1), [f(2), f(3)])
-        int_op = alu(1, r(1), [r(2)])
-        assert scheme.next_dispatch_activity_cycle(fp_op, 37) == 37
-        assert scheme.next_dispatch_activity_cycle(int_op, 37) is None
+        def refused_at_37(make_inst):
+            scheme = LatFifoScheme(default_config(LATFIFO_8x8_8x16),
+                                   StatCounters())
+            # Eight independent ops take the eight empty queues; the
+            # ninth has the same estimate (FP) or no empty FIFO (integer).
+            for seq in range(8):
+                assert scheme.try_dispatch(InFlight(make_inst(seq), seq), 37)
+            assert not scheme.try_dispatch(InFlight(make_inst(8), 8), 37)
+            return scheme
+
+        fp_stalled = refused_at_37(lambda seq: fpalu(seq, f(seq)))
+        assert fp_stalled.next_activity_cycle(38) == 38
+        assert fp_stalled.next_activity_cycle(39) is None
+        int_stalled = refused_at_37(lambda seq: alu(seq, r(seq)))
+        assert int_stalled.next_activity_cycle(38) is None
 
     @pytest.mark.parametrize("scheme_name", sorted(ALL_SCHEMES))
     def test_never_skip_answer_is_sound(self, monkeypatch, scheme_name):

@@ -20,7 +20,7 @@ from tests.util import alu, f, fpalu, load, r, store
 
 
 def make_uop(inst, age=None):
-    uop = InFlight(inst, [], None, None, 0, age if age is not None else inst.seq, 0)
+    uop = InFlight(inst, age if age is not None else inst.seq)
     return uop
 
 
@@ -347,8 +347,25 @@ class TestMixBuffScheme:
         __, scheme = self.make(fp_queues=1, fp_entries=8, max_chains=2)
         for i in range(2):
             assert scheme.try_dispatch(make_uop(fpalu(i, f(i))), 0)
-        assert not scheme.try_dispatch(make_uop(fpalu(2, f(2))), 0)
-        assert scheme.fp_side.dispatch_stalls == 1
+        side = scheme.fp_side
+
+        def placement_state():
+            return (
+                [list(queue) for queue in side.queues],
+                [
+                    {cid: (c.pending, c.completion_cycle, c.starter)
+                     for cid, c in chains.items()}
+                    for chains in side.chains
+                ],
+                dict(side.table._map),
+                dict(side.table._tail_reg),
+            )
+
+        before = placement_state()
+        refused = make_uop(fpalu(2, f(2)))
+        assert not scheme.try_dispatch(refused, 0)
+        assert placement_state() == before
+        assert (refused.queue_index, refused.chain_id) == (None, None)
 
     def test_one_issue_per_queue_per_cycle(self):
         cfg, scheme = self.make(fp_queues=1, fp_entries=8)
