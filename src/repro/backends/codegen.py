@@ -48,7 +48,7 @@ from repro.common.config import (
     SCHEME_MIXBUFF,
     ProcessorConfig,
 )
-from repro.isa.opcodes import FuType, OpClass, fu_type_for, is_pipelined, latency_for
+from repro.isa.opcodes import OpClass, latency_for
 
 __all__ = [
     "CODEGEN_RUNS",
@@ -62,13 +62,6 @@ __all__ = [
 #: against this counter.
 CODEGEN_RUNS = 0
 
-_FU_SLOT = {
-    FuType.INT_ALU: 0,
-    FuType.INT_MULDIV: 1,
-    FuType.FP_ALU: 2,
-    FuType.FP_MULDIV: 3,
-}
-
 
 def kernel_spec(config: ProcessorConfig) -> dict:
     """The subset of the config the generated source depends on.
@@ -76,7 +69,9 @@ def kernel_spec(config: ProcessorConfig) -> dict:
     Two configs with equal specs compile to byte-identical kernels, so
     e.g. all benchmarks of one figure share one compiled kernel per
     scheme. Anything that cannot change the emitted source (cache
-    geometry, branch predictor, register-file sizes) stays out.
+    geometry, branch predictor, register-file sizes) stays out, and so
+    does the binding of functional units to queues: the kernel reads it
+    from the processor's ``FuPool`` banks at run time.
     """
     scheme = config.scheme
     fus = config.fus
@@ -88,7 +83,6 @@ def kernel_spec(config: ProcessorConfig) -> dict:
         "fp_queues": scheme.fp_queues,
         "fp_queue_entries": scheme.fp_queue_entries,
         "unbounded": bool(scheme.unbounded),
-        "distributed": bool(scheme.distributed_fus),
         "max_chains": scheme.max_chains_per_queue,
         "decode_width": config.decode_width,
         "commit_width": config.commit_width,
@@ -122,44 +116,28 @@ def _opinfo_literal(spec: dict) -> str:
     """
     lines = ["_OPINFO = {"]
     for op in OpClass:
-        fu = fu_type_for(op)
+        fu = op.fu_type
         lines.append(
             f"    OpClass.{op.name}: ({op.is_fp}, {op.is_memory}, {op.is_load}, "
             f"{op.is_store}, {op.is_branch}, {spec['latencies'][op.name]}, "
-            f"{fu.mux_event!r}, {is_pipelined(op)}, {_FU_SLOT[fu]}),"
+            f"{fu.mux_event!r}, {op.pipelined}, {fu.slot}),"
         )
     lines.append("}")
     return "\n".join(lines)
 
 
-def _fu_alloc_block(spec: dict, queue_var: str) -> str:
-    """FU reservation, specialized pooled vs distributed; fails with
-    ``continue`` (mirrors a failed ``try_allocate`` — no side effects)."""
-    if spec["distributed"]:
-        return f"""\
-if fus == 0:
-    unit = _fu_int_alu[{queue_var}]
-elif fus == 1:
-    unit = _fu_int_muldiv[{queue_var} // 2]
-elif fus == 2:
-    unit = _fu_fp_alu[{queue_var} // 2]
-else:
-    unit = _fu_fp_muldiv[{queue_var} // 2]
-if not (cycle > unit.busy_until and cycle > unit.last_issue_cycle):
-    continue
-unit.last_issue_cycle = cycle
-if not pip:
-    unit.busy_until = cycle + lat - 1"""
-    return """\
-allocated = False
-for unit in _units[fus]:
+def _fu_alloc_block(queue: str) -> str:
+    """Inlined ``FuPool.try_allocate`` from the bank of queue ``queue``;
+    fails with ``continue`` (mirrors a failed ``try_allocate`` — no side
+    effects)."""
+    return f"""\
+for unit in _banks[fus][{queue}]:
     if cycle > unit.busy_until and cycle > unit.last_issue_cycle:
         unit.last_issue_cycle = cycle
         if not pip:
             unit.busy_until = cycle + lat - 1
-        allocated = True
         break
-if not allocated:
+else:
     continue"""
 
 
@@ -218,8 +196,7 @@ def _fifo_heads_block(spec: dict, queues_var: str, fp_side: bool) -> str:
     queue state and every counter match the interpreted side exactly.
     """
     budget = "fp_b" if fp_side else "int_b"
-    queue_arg = "_qi" if spec["distributed"] else "None"  # noqa: F841 (doc)
-    fu_alloc = _indent(_fu_alloc_block(spec, "_qi"), 8)
+    fu_alloc = _indent(_fu_alloc_block("_qi"), 8)
     if fp_side:
         unpack = "__, __, __, __, __, lat, mux, pip, fus = _opinfo[inst.op]"
         gates = """\
@@ -289,7 +266,7 @@ def _conventional_side_block(spec: dict, side: int) -> str:
     queue_var = "cq_fp" if side else "cq_int"
     budget = "fp_b" if side else "int_b"
     fp_side = bool(side)
-    fu_alloc = _indent(_fu_alloc_block(spec, "None"), 12)
+    fu_alloc = _indent(_fu_alloc_block("0"), 12)
     completion = _indent(_completion_block(spec, fp_side), 12)
     if fp_side:
         unpack = "__, __, __, __, __, lat, mux, pip, fus = _opinfo[inst.op]"
@@ -514,7 +491,7 @@ fp_b = {spec['fp_issue_width']}"""
             ]
         )
     if kind == SCHEME_MIXBUFF:
-        mixbuff_fp = f"""\
+        mixbuff_fp = """\
 _mb_occ = 0
 for _q in mb_queues:
     _mb_occ += len(_q)
@@ -525,7 +502,7 @@ if _mb_occ:
     ctx = IssueContext(cycle, config, sb, fu_pool, lsq, processor._schedule_completion)
     ctx.int_budget = int_b
     ctx.memory_budget = mem_b
-    issued_n += len(scheme.fp_side.issue_one_per_queue(ctx, {spec['distributed']}))"""
+    issued_n += len(scheme.fp_side.issue_one_per_queue(ctx))"""
         return "\n".join(
             [
                 header,
@@ -595,22 +572,6 @@ def _occupancy_expr(spec: dict) -> str:
     return "sum(map(len, int_queues_list)) + sum(map(len, fp_queues_list))"
 
 
-def _fu_bindings(spec: dict) -> str:
-    if spec["distributed"]:
-        return """\
-_fu_int_alu = fu_pool._int_alu
-_fu_int_muldiv = fu_pool._int_muldiv
-_fu_fp_alu = fu_pool._fp_alu
-_fu_fp_muldiv = fu_pool._fp_muldiv"""
-    return """\
-_units = (
-    fu_pool.units_of(FuType.INT_ALU),
-    fu_pool.units_of(FuType.INT_MULDIV),
-    fu_pool.units_of(FuType.FP_ALU),
-    fu_pool.units_of(FuType.FP_MULDIV),
-)"""
-
-
 def generate_source(spec: dict) -> str:
     """Emit the specialized kernel module source for ``spec``."""
     global CODEGEN_RUNS
@@ -624,8 +585,8 @@ Spec: {json.dumps(spec, sort_keys=True)}
 """
 
 from repro.core.uop import InFlight
-from repro.isa.opcodes import FuType, OpClass
-from repro.issue.base import IssueContext, IssueScheme
+from repro.isa.opcodes import OpClass
+from repro.issue.base import IssueContext
 
 _NEVER = 1 << 60
 
@@ -651,14 +612,9 @@ def make_step(processor):
     br_res = processor._branch_resolutions
     decode_queue = processor._decode_queue
     fu_pool = processor.fu_pool
-{_indent(_fu_bindings(spec), 4)}
+    _banks = fu_pool._banks
 {_indent(_scheme_bindings(spec), 4)}
     _opinfo = _OPINFO
-    _cycle_end = (
-        None
-        if type(scheme).on_cycle_end is IssueScheme.on_cycle_end
-        else scheme.on_cycle_end
-    )
 
     def _step(cycle):
         # stage 1: branch resolutions due this cycle
@@ -738,8 +694,6 @@ def make_step(processor):
         # stage 7: fetch
         token = fetch.state_token()
         fetched = fetch.fetch_cycle(cycle)
-        if _cycle_end is not None:
-            _cycle_end(cycle)
         processor._occupancy_accum += {_occupancy_expr(spec)}
         activity = bool(
             resolved

@@ -1,13 +1,16 @@
-"""Functional units: pooled (baseline) and distributed (Section 3.3).
+"""Functional units and their binding to issue queues (Section 3.3).
 
 Pipelined units (ALUs, multipliers) accept one instruction per cycle;
-divides occupy their mul/div unit for the full latency. In the pooled
-organization any instruction may use any unit of the right type. In the
-distributed organization of Section 3.3 each *queue* owns specific units:
+divides occupy their mul/div unit for the full latency. Which units a
+queue may use is decided here, and only here, from
+``IssueSchemeConfig.distributed_fus``:
 
-* one integer ALU per integer queue,
-* one integer mul/div unit per pair of integer queues,
-* one FP adder and one FP mul/div unit per pair of FP queues.
+* pooled (the baseline): every queue of a side may use any unit of the
+  right type;
+* distributed (Section 3.3): each queue owns specific units — one
+  integer ALU per integer queue, one integer mul/div unit per pair of
+  integer queues, one FP adder and one FP mul/div unit per pair of FP
+  queues.
 
 Loads, stores and branches execute on integer ALUs (address/target
 computation), as in SimpleScalar.
@@ -15,51 +18,79 @@ computation), as in SimpleScalar.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.common.config import FunctionalUnitConfig
-from repro.common.errors import ConfigurationError
-from repro.isa.opcodes import FuType, OpClass, is_pipelined
+from repro.common.config import ProcessorConfig
+from repro.core.uop import InFlight
+from repro.isa.opcodes import FuType, latency_for
 
-__all__ = ["FunctionalUnit", "FuPool", "PooledFuPool", "DistributedFuPool"]
+__all__ = ["FunctionalUnit", "FuPool"]
 
 
 class FunctionalUnit:
     """One execution unit."""
 
-    __slots__ = ("fu_type", "index", "busy_until", "last_issue_cycle")
+    __slots__ = ("fu_type", "busy_until", "last_issue_cycle")
 
-    def __init__(self, fu_type: FuType, index: int) -> None:
+    def __init__(self, fu_type: FuType) -> None:
         self.fu_type = fu_type
-        self.index = index
         self.busy_until = -1  # unpipelined occupancy (divides)
         self.last_issue_cycle = -1
 
-    def can_accept(self, cycle: int) -> bool:
-        """Can a new instruction start on this unit at ``cycle``?"""
-        return cycle > self.busy_until and cycle > self.last_issue_cycle
-
-    def accept(self, cycle: int, op: OpClass, latency: int) -> None:
-        """Occupy the unit for ``op`` starting at ``cycle``."""
-        self.last_issue_cycle = cycle
-        if not is_pipelined(op):
-            self.busy_until = cycle + latency - 1
-
 
 class FuPool:
-    """Interface: allocate a unit for an op at a cycle, maybe per-queue."""
+    """Every functional unit, and the bank of units each queue may use.
 
-    def try_allocate(
-        self, fu_type: FuType, op: OpClass, latency: int, cycle: int, queue_index: Optional[int]
-    ) -> bool:
-        raise NotImplementedError
+    ``_banks[fu_type.slot][queue_index]`` lists the units of one type
+    that a queue of the type's side may start an op on, in allocation
+    order. Under pooled binding all queues of a side share one bank;
+    under distributed binding each bank holds the queue's own unit.
+    Every caller names the queue it issues from (the conventional
+    scheme's one queue per side is queue 0).
+    """
 
-    def units_of(self, fu_type: FuType) -> List[FunctionalUnit]:
-        raise NotImplementedError
+    def __init__(self, config: ProcessorConfig) -> None:
+        fus = config.fus
+        fus.validate()
+        scheme = config.scheme
+        self._fus = fus
+        self.units: List[FunctionalUnit] = []
+        self._banks: List[List[List[FunctionalUnit]]] = [[] for __ in FuType]
+        for fu_type, count, queues in (
+            (FuType.INT_ALU, fus.int_alu_count, scheme.int_queues),
+            (FuType.INT_MULDIV, fus.int_muldiv_count, scheme.int_queues),
+            (FuType.FP_ALU, fus.fp_alu_count, scheme.fp_queues),
+            (FuType.FP_MULDIV, fus.fp_muldiv_count, scheme.fp_queues),
+        ):
+            if scheme.distributed_fus:
+                # An integer ALU per queue; every other unit per pair.
+                share = 1 if fu_type is FuType.INT_ALU else 2
+                units = [FunctionalUnit(fu_type) for __ in range((queues + share - 1) // share)]
+                banks = [[units[queue // share]] for queue in range(queues)]
+            else:
+                units = [FunctionalUnit(fu_type) for __ in range(count)]
+                banks = [units] * queues
+            self.units.extend(units)
+            self._banks[fu_type.slot] = banks
 
-    def can_allocate(
-        self, fu_type: FuType, cycle: int, queue_index: Optional[int] = None
-    ) -> bool:
+    def try_allocate(self, uop: InFlight, cycle: int, queue_index: int) -> bool:
+        """Start ``uop`` on the first unit of its queue's bank free at
+        ``cycle``; False (and no change) if none is.
+
+        A unit is free when nothing started on it this cycle and no
+        unpipelined op (a divide) still occupies it; such an op holds
+        its unit for its whole latency.
+        """
+        for unit in self._banks[uop.fu_type.slot][queue_index]:
+            if cycle > unit.busy_until and cycle > unit.last_issue_cycle:
+                unit.last_issue_cycle = cycle
+                op = uop.op
+                if not op.pipelined:
+                    unit.busy_until = cycle + latency_for(op, self._fus) - 1
+                return True
+        return False
+
+    def can_allocate(self, fu_type: FuType, cycle: int, queue_index: int) -> bool:
         """Non-destructive probe: could an op of this type start now?
 
         Distributed selection logic is physically next to its own
@@ -67,14 +98,10 @@ class FuPool:
         wiring — MixBUFF's per-queue selector uses this to avoid picking
         an instruction whose unit cannot accept it this cycle.
         """
-        raise NotImplementedError
-
-    def all_units(self) -> List[FunctionalUnit]:
-        """Every unit in the pool, for generic sweeps."""
-        units: List[FunctionalUnit] = []
-        for fu_type in FuType:
-            units.extend(self.units_of(fu_type))
-        return units
+        for unit in self._banks[fu_type.slot][queue_index]:
+            if cycle > unit.busy_until and cycle > unit.last_issue_cycle:
+                return True
+        return False
 
     def next_activity_cycle(self, cycle: int) -> Optional[int]:
         """Skipping-kernel contract: next cycle a busy unit frees up.
@@ -87,95 +114,6 @@ class FuPool:
         never quiescent.
         """
         upcoming = [
-            unit.busy_until + 1
-            for unit in self.all_units()
-            if unit.busy_until + 1 >= cycle
+            unit.busy_until + 1 for unit in self.units if unit.busy_until + 1 >= cycle
         ]
         return min(upcoming) if upcoming else None
-
-
-class PooledFuPool(FuPool):
-    """Baseline organization: any unit of the right type."""
-
-    def __init__(self, config: FunctionalUnitConfig) -> None:
-        config.validate()
-        self._units: Dict[FuType, List[FunctionalUnit]] = {
-            FuType.INT_ALU: [FunctionalUnit(FuType.INT_ALU, i) for i in range(config.int_alu_count)],
-            FuType.INT_MULDIV: [
-                FunctionalUnit(FuType.INT_MULDIV, i) for i in range(config.int_muldiv_count)
-            ],
-            FuType.FP_ALU: [FunctionalUnit(FuType.FP_ALU, i) for i in range(config.fp_alu_count)],
-            FuType.FP_MULDIV: [
-                FunctionalUnit(FuType.FP_MULDIV, i) for i in range(config.fp_muldiv_count)
-            ],
-        }
-
-    def units_of(self, fu_type: FuType) -> List[FunctionalUnit]:
-        return self._units[fu_type]
-
-    def try_allocate(self, fu_type, op, latency, cycle, queue_index=None) -> bool:
-        for unit in self._units[fu_type]:
-            if unit.can_accept(cycle):
-                unit.accept(cycle, op, latency)
-                return True
-        return False
-
-    def can_allocate(self, fu_type, cycle, queue_index=None) -> bool:
-        return any(unit.can_accept(cycle) for unit in self._units[fu_type])
-
-
-class DistributedFuPool(FuPool):
-    """Section 3.3 organization: units bound to queues.
-
-    ``int_queues`` and ``fp_queues`` give the queue counts; the binding
-    is: integer queue *q* → its own ALU; integer queues *2k, 2k+1* →
-    integer mul/div *k*; FP queues *2k, 2k+1* → FP adder *k* and FP
-    mul/div *k*. FP-side ops must come from FP queues and integer-side
-    ops from integer queues; allocation requires the queue index.
-    """
-
-    def __init__(self, int_queues: int, fp_queues: int, config: FunctionalUnitConfig) -> None:
-        config.validate()
-        if int_queues < 1 or fp_queues < 1:
-            raise ConfigurationError("distributed FU pool needs queues on both sides")
-        self.int_queues = int_queues
-        self.fp_queues = fp_queues
-        self._int_alu = [FunctionalUnit(FuType.INT_ALU, i) for i in range(int_queues)]
-        self._int_muldiv = [
-            FunctionalUnit(FuType.INT_MULDIV, i) for i in range((int_queues + 1) // 2)
-        ]
-        self._fp_alu = [FunctionalUnit(FuType.FP_ALU, i) for i in range((fp_queues + 1) // 2)]
-        self._fp_muldiv = [
-            FunctionalUnit(FuType.FP_MULDIV, i) for i in range((fp_queues + 1) // 2)
-        ]
-
-    def units_of(self, fu_type: FuType) -> List[FunctionalUnit]:
-        return {
-            FuType.INT_ALU: self._int_alu,
-            FuType.INT_MULDIV: self._int_muldiv,
-            FuType.FP_ALU: self._fp_alu,
-            FuType.FP_MULDIV: self._fp_muldiv,
-        }[fu_type]
-
-    def _unit_for(self, fu_type: FuType, queue_index: int) -> FunctionalUnit:
-        if fu_type is FuType.INT_ALU:
-            return self._int_alu[queue_index]
-        if fu_type is FuType.INT_MULDIV:
-            return self._int_muldiv[queue_index // 2]
-        if fu_type is FuType.FP_ALU:
-            return self._fp_alu[queue_index // 2]
-        return self._fp_muldiv[queue_index // 2]
-
-    def try_allocate(self, fu_type, op, latency, cycle, queue_index=None) -> bool:
-        if queue_index is None:
-            raise ConfigurationError("distributed FU pool requires a queue index")
-        unit = self._unit_for(fu_type, queue_index)
-        if unit.can_accept(cycle):
-            unit.accept(cycle, op, latency)
-            return True
-        return False
-
-    def can_allocate(self, fu_type, cycle, queue_index=None) -> bool:
-        if queue_index is None:
-            raise ConfigurationError("distributed FU pool requires a queue index")
-        return self._unit_for(fu_type, queue_index).can_accept(cycle)

@@ -38,7 +38,7 @@ from repro.common.config import ProcessorConfig
 from repro.common.errors import SimulationError
 from repro.common.stats import SimulationStats, StatCounters
 from repro.core import engine
-from repro.core.functional_units import DistributedFuPool, FuPool, PooledFuPool
+from repro.core.functional_units import FuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.rename import RenameMap
 from repro.core.rob import ReorderBuffer
@@ -87,21 +87,13 @@ class Processor:
         self.scheme = build_scheme(config, self.events)
         if hasattr(self.scheme, "bind_scoreboard"):
             self.scheme.bind_scoreboard(self.scoreboard)
-        self.fu_pool = self._build_fu_pool()
+        self.fu_pool = FuPool(config)
         self._decode_queue: Deque[Tuple[Instruction, int]] = deque()
         self._broadcasts: Dict[int, int] = {}
         self._branch_resolutions: Dict[int, List[InFlight]] = {}
         self.stats = SimulationStats(events=self.events)
         self._occupancy_accum = 0
         self.kernel_telemetry = engine.KernelTelemetry()
-
-    def _build_fu_pool(self) -> FuPool:
-        scheme_cfg = self.config.scheme
-        if scheme_cfg.distributed_fus:
-            return DistributedFuPool(
-                scheme_cfg.int_queues, scheme_cfg.fp_queues, self.config.fus
-            )
-        return PooledFuPool(self.config.fus)
 
     # ------------------------------------------------------------------
     # Completion scheduling (called by IssueContext when an instruction
@@ -238,7 +230,6 @@ class Processor:
         decoded = self._decode(cycle)
         fetch_token = self.fetch.state_token()
         fetched = self.fetch.fetch_cycle(cycle)
-        self.scheme.on_cycle_end(cycle)
         self._occupancy_accum += self.scheme.occupancy()
         activity = bool(
             resolved

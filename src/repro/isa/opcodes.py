@@ -12,15 +12,18 @@ import enum
 
 from repro.common.config import FunctionalUnitConfig
 
-__all__ = ["OpClass", "FuType", "fu_type_for", "latency_for", "is_pipelined"]
+__all__ = ["OpClass", "FuType", "latency_for"]
 
 
 class FuType(enum.Enum):
     """Functional-unit categories of Table 1.
 
     ``mux_event`` is the energy event charged to the unit's operand
-    multiplexer for each instruction issued to it; like ``OpClass``'s
-    facts it is a plain attribute, read once per issued instruction.
+    multiplexer for each instruction issued to it, and ``slot`` is the
+    member's position (0-3), which indexes the functional-unit pool's
+    banks. Like ``OpClass``'s facts they are plain attributes: the issue
+    stage reads them on every issue attempt, and a dict keyed by member
+    would hash it through a Python-level ``Enum.__hash__`` call.
     """
 
     INT_ALU = "int_alu"
@@ -30,6 +33,9 @@ class FuType(enum.Enum):
 
     def __init__(self, value: str) -> None:
         self.mux_event: str = "mux_" + value.replace("muldiv", "mul")
+        # Members are registered after __init__, so this counts the
+        # members declared before this one.
+        self.slot: int = len(type(self)._member_names_)
 
 
 # Keyed by OpClass value. Memory ops and branches use an integer ALU for
@@ -85,11 +91,16 @@ class OpClass(enum.Enum):
         # The destination register (if any) is an FP register.
         self.writes_fp_register: bool = self.is_fp or value == "fp_load"
         self.fu_type: FuType = _FU_FOR_OP[value]
-
-
-def fu_type_for(op: OpClass) -> FuType:
-    """Functional-unit type that executes instructions of class ``op``."""
-    return op.fu_type
+        # Divides occupy their mul/div unit for the whole operation;
+        # everything else accepts a new instruction every cycle.
+        self.pipelined: bool = value not in ("int_div", "fp_div")
+        # The FunctionalUnitConfig field holding the execution latency:
+        # memory ops compute an address, branches resolve in one ALU op.
+        self.latency_field: str = (
+            "address_latency" if self.is_memory
+            else "int_alu_latency" if self.is_branch
+            else value + "_latency"
+        )
 
 
 def latency_for(op: OpClass, fus: FunctionalUnitConfig) -> int:
@@ -100,27 +111,4 @@ def latency_for(op: OpClass, fus: FunctionalUnitConfig) -> int:
     cycle. Stores take the address latency (data movement happens at
     commit and is off the critical path).
     """
-    if op is OpClass.INT_ALU or op is OpClass.BRANCH:
-        return fus.int_alu_latency
-    if op is OpClass.INT_MUL:
-        return fus.int_mul_latency
-    if op is OpClass.INT_DIV:
-        return fus.int_div_latency
-    if op is OpClass.FP_ALU:
-        return fus.fp_alu_latency
-    if op is OpClass.FP_MUL:
-        return fus.fp_mul_latency
-    if op is OpClass.FP_DIV:
-        return fus.fp_div_latency
-    if op.is_memory:
-        return fus.address_latency
-    raise ValueError(f"unknown op class {op!r}")
-
-
-def is_pipelined(op: OpClass) -> bool:
-    """Whether the functional unit is pipelined for this class.
-
-    Divides occupy their mul/div unit for the whole operation; everything
-    else accepts a new instruction every cycle.
-    """
-    return op not in (OpClass.INT_DIV, OpClass.FP_DIV)
+    return getattr(fus, op.latency_field)

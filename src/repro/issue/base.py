@@ -19,7 +19,6 @@ from repro.core.functional_units import FuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
-from repro.isa.opcodes import latency_for
 
 __all__ = ["IssueContext", "IssueScheme"]
 
@@ -53,14 +52,15 @@ class IssueContext:
         self.memory_budget = config.dcache.ports
         self.issued: List[InFlight] = []
 
-    def issue(self, uop: InFlight, queue_index: Optional[int] = None) -> bool:
-        """Try to issue ``uop`` now; reserves resources on success.
+    def issue(self, uop: InFlight, queue_index: int) -> bool:
+        """Try to issue ``uop`` from queue ``queue_index`` now; reserves
+        resources on success.
 
         Checks in order: the side's issue-width budget, the memory-port
         budget, operand readiness, load gating, then a free functional
-        unit. A rejected issue has no side effects; the conventional
-        queue's ready-bound short-circuit and the generated kernel's
-        pregates rely on that.
+        unit that the queue may use. A rejected issue has no side
+        effects; the conventional queue's ready-bound short-circuit and
+        the generated kernel's pregates rely on that.
 
         For stores only the address operands must be ready — the data
         is read at commit (Section 3.1 splits stores into address
@@ -84,8 +84,7 @@ class IssueContext:
             or self.lsq.load_blocked_on_store_data(uop, self.scoreboard)
         ):
             return False
-        latency = latency_for(op, self.config.fus)
-        if not self.fu_pool.try_allocate(uop.fu_type, op, latency, cycle, queue_index):
+        if not self.fu_pool.try_allocate(uop, cycle, queue_index):
             return False
         if is_fp:
             self.fp_budget -= 1
@@ -130,17 +129,6 @@ class IssueScheme:
         hardware; we model the clear.
         """
 
-    def on_cycle_end(self, cycle: int) -> None:
-        """Per-cycle energy bookkeeping hook.
-
-        Skip-safety contract: implementations may only add to
-        ``events``, as a pure function of frozen scheme state (the
-        skipping kernel replays a measured quiescent cycle's event delta
-        in closed form); they must not make cycle-number-dependent
-        decisions unless those boundaries are reported by
-        :meth:`next_activity_cycle`.
-        """
-
     # -- skipping-kernel contract ------------------------------------
     def next_activity_cycle(self, cycle: int) -> Optional[int]:
         """Next cycle at which the scheme's behaviour could change
@@ -160,7 +148,3 @@ class IssueScheme:
     def occupancy(self) -> int:
         """Instructions currently waiting in the issue queue(s)."""
         raise NotImplementedError
-
-    def queue_count_for_side(self, is_fp: bool) -> int:
-        """Number of queues on one side (1 for the conventional scheme)."""
-        return 1

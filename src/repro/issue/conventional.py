@@ -133,7 +133,7 @@ class ConventionalIssueQueue(IssueScheme):
                 continue
             taken_indices: List[int] = []
             for i, uop in enumerate(queue):
-                if ctx.issue(uop):
+                if ctx.issue(uop, 0):
                     taken_indices.append(i)
                     issued.append(uop)
             if taken_indices:

@@ -38,16 +38,13 @@ class FifoSide:
         num_queues: int,
         entries_per_queue: int,
         events: StatCounters,
-        event_prefix: str = "fifo",
-        qrename_prefix: str = "qrename",
     ) -> None:
         self.is_fp = is_fp
         self.num_queues = num_queues
         self.entries_per_queue = entries_per_queue
         self.queues: List[Deque[InFlight]] = [deque() for __ in range(num_queues)]
         self.events = events
-        self._event_prefix = event_prefix
-        self.table = QueueRenameTable(events, qrename_prefix)
+        self.table = QueueRenameTable(events)
 
     # -- placement ----------------------------------------------------
     def _queue_full(self, index: int) -> bool:
@@ -89,10 +86,10 @@ class FifoSide:
         self.queues[queue_index].append(uop)
         uop.queue_index = queue_index
         self.table.set_tail(queue_index, uop.inst.dest)
-        self.events.add(f"{self._event_prefix}_write")
+        self.events.add("fifo_write")
 
     # -- issue ---------------------------------------------------------
-    def issue_heads(self, ctx: IssueContext, distributed: bool) -> List[InFlight]:
+    def issue_heads(self, ctx: IssueContext) -> List[InFlight]:
         """Issue ready FIFO heads, oldest first."""
         heads = [(queue[0].age, index) for index, queue in enumerate(self.queues) if queue]
         # Every head reads its operands' ready bits this cycle.
@@ -101,10 +98,9 @@ class FifoSide:
         issued: List[InFlight] = []
         for __, index in sorted(heads):
             head = self.queues[index][0]
-            queue_arg = index if distributed else None
-            if ctx.issue(head, queue_arg):
+            if ctx.issue(head, index):
                 self.queues[index].popleft()
-                self.events.add(f"{self._event_prefix}_read")
+                self.events.add("fifo_read")
                 issued.append(head)
         return issued
 

@@ -38,7 +38,6 @@ class IssueFifoScheme(IssueScheme):
         self.fp_side = FifoSide(
             True, scheme.fp_queues, scheme.fp_queue_entries, events
         )
-        self._distributed = scheme.distributed_fus
 
     def _side_for(self, uop: InFlight) -> FifoSide:
         return self.fp_side if uop.op.is_fp else self.int_side
@@ -47,8 +46,8 @@ class IssueFifoScheme(IssueScheme):
         return self._side_for(uop).try_place(uop, cycle)
 
     def select_and_issue(self, ctx: IssueContext) -> List[InFlight]:
-        issued = self.int_side.issue_heads(ctx, self._distributed)
-        issued += self.fp_side.issue_heads(ctx, self._distributed)
+        issued = self.int_side.issue_heads(ctx)
+        issued += self.fp_side.issue_heads(ctx)
         return issued
 
     def on_result_broadcast(self, cycle: int, broadcasts: int) -> None:
@@ -61,6 +60,3 @@ class IssueFifoScheme(IssueScheme):
 
     def occupancy(self) -> int:
         return self.int_side.occupancy() + self.fp_side.occupancy()
-
-    def queue_count_for_side(self, is_fp: bool) -> int:
-        return self.fp_side.num_queues if is_fp else self.int_side.num_queues

@@ -25,7 +25,18 @@ from repro.common.config import ProcessorConfig
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import OpClass, latency_for
 
-__all__ = ["IssueTimeEstimator"]
+__all__ = ["IssueTimeEstimator", "value_latency"]
+
+
+def value_latency(op: OpClass, config: ProcessorConfig) -> int:
+    """Estimated cycles from issue to value availability for ``op``.
+
+    A load's value arrives after its address computation plus an L1 hit;
+    any other op's value arrives after its own execution latency.
+    """
+    if op.is_load:
+        return config.fus.address_latency + config.dcache.hit_latency
+    return latency_for(op, config.fus)
 
 
 class IssueTimeEstimator:
@@ -35,19 +46,10 @@ class IssueTimeEstimator:
         self.config = config
         self._dest_cycle: Dict[Tuple[bool, int], int] = {}
         self._all_store_addr = 0
-        self._load_value_latency = (
-            config.fus.address_latency + config.dcache.hit_latency
-        )
 
     def operand_cycle(self, ref) -> int:
         """Estimated cycle when ``ref``'s value is available (0 = ready)."""
         return self._dest_cycle.get((ref.is_fp, ref.index), 0)
-
-    def value_latency(self, op: OpClass) -> int:
-        """Estimated cycles from issue to value availability for ``op``."""
-        if op.is_load:
-            return self._load_value_latency
-        return latency_for(op, self.config.fus)
 
     def estimate(self, inst: Instruction, cycle: int) -> int:
         """Estimated issue cycle of ``inst`` dispatched at ``cycle``.
@@ -71,7 +73,7 @@ class IssueTimeEstimator:
                 self._all_store_addr = addr_known
         if inst.dest is not None:
             self._dest_cycle[(inst.dest.is_fp, inst.dest.index)] = (
-                issue + self.value_latency(inst.op)
+                issue + value_latency(inst.op, self.config)
             )
         return issue
 

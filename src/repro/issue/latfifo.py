@@ -67,7 +67,6 @@ class LatFifoScheme(IssueScheme):
             True, scheme.fp_queues, scheme.fp_queue_entries, events
         )
         self.estimator = IssueTimeEstimator(config)
-        self._distributed = scheme.distributed_fus
         # Cycle of the latest refused FP placement (next_activity_cycle).
         self._fp_refused_cycle: Optional[int] = None
 
@@ -87,8 +86,8 @@ class LatFifoScheme(IssueScheme):
         return False
 
     def select_and_issue(self, ctx: IssueContext) -> List[InFlight]:
-        issued = self.int_side.issue_heads(ctx, self._distributed)
-        issued += self.fp_side.issue_heads(ctx, self._distributed)
+        issued = self.int_side.issue_heads(ctx)
+        issued += self.fp_side.issue_heads(ctx)
         return issued
 
     def on_result_broadcast(self, cycle: int, broadcasts: int) -> None:
@@ -112,6 +111,3 @@ class LatFifoScheme(IssueScheme):
 
     def occupancy(self) -> int:
         return self.int_side.occupancy() + self.fp_side.occupancy()
-
-    def queue_count_for_side(self, is_fp: bool) -> int:
-        return self.fp_side.num_queues if is_fp else self.int_side.num_queues

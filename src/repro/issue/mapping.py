@@ -30,16 +30,14 @@ def _key(ref: RegisterRef) -> Tuple[bool, int]:
 class QueueRenameTable:
     """Logical register → FIFO queue holding its producer at the tail."""
 
-    def __init__(self, events: StatCounters, event_prefix: str = "qrename") -> None:
+    def __init__(self, events: StatCounters) -> None:
         self._map: Dict[Tuple[bool, int], int] = {}
         self._tail_reg: Dict[int, Optional[Tuple[bool, int]]] = {}
         self.events = events
-        self._read_event = f"{event_prefix}_read"
-        self._write_event = f"{event_prefix}_write"
 
     def queue_of(self, ref: RegisterRef) -> Optional[int]:
         """Queue whose tail produces ``ref``, or None."""
-        self.events.add(self._read_event)
+        self.events.add("qrename_read")
         key = _key(ref)
         queue = self._map.get(key)
         if queue is None:
@@ -60,7 +58,7 @@ class QueueRenameTable:
         """
         if dest is None:
             return
-        self.events.add(self._write_event)
+        self.events.add("qrename_write")
         key = _key(dest)
         self._map[key] = queue
         self._tail_reg[queue] = key
@@ -82,19 +80,18 @@ class ChainRenameTable:
     produces; an instruction extends a chain only if one of its sources
     is that register (Section 3.2.1: "an instruction is placed in the
     same queue as its predecessor only if it is the last instruction of
-    the chain").
+    the chain"). Its accesses are counted as ``qrename`` events, the
+    Qrename RAM the energy model prices for every multi-queue scheme.
     """
 
-    def __init__(self, events: StatCounters, event_prefix: str = "chainmap") -> None:
+    def __init__(self, events: StatCounters) -> None:
         self._map: Dict[Tuple[bool, int], Tuple[int, int]] = {}
         self._tail_reg: Dict[Tuple[int, int], Optional[Tuple[bool, int]]] = {}
         self.events = events
-        self._read_event = f"{event_prefix}_read"
-        self._write_event = f"{event_prefix}_write"
 
     def chain_of(self, ref: RegisterRef) -> Optional[Tuple[int, int]]:
         """(queue, chain) whose last instruction produces ``ref``."""
-        self.events.add(self._read_event)
+        self.events.add("qrename_read")
         key = _key(ref)
         qc = self._map.get(key)
         if qc is None:
@@ -111,7 +108,7 @@ class ChainRenameTable:
         """
         if dest is None:
             return
-        self.events.add(self._write_event)
+        self.events.add("qrename_write")
         qc = (queue, chain)
         key = _key(dest)
         self._map[key] = qc

@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.common.config import ProcessorConfig
 from repro.common.stats import StatCounters
 from repro.core.uop import InFlight
-from repro.isa.opcodes import latency_for
 from repro.issue.base import IssueContext, IssueScheme
 from repro.issue.fifo_side import FifoSide
+from repro.issue.latency_estimator import value_latency
 from repro.issue.mapping import ChainRenameTable
 from repro.issue.selection import SelectableEntry, select_entry
 
@@ -68,12 +68,9 @@ class MixBuffSide:
         self.max_chains = max_chains
         self.config = config
         self.events = events
-        self.table = ChainRenameTable(events, "qrename")
+        self.table = ChainRenameTable(events)
         self.queues: List[List[InFlight]] = [[] for __ in range(num_queues)]
         self.chains: List[Dict[int, _Chain]] = [{} for __ in range(num_queues)]
-        self._load_value_latency = (
-            config.fus.address_latency + config.dcache.hit_latency
-        )
 
     # -- placement ----------------------------------------------------
     def _queue_full(self, index: int) -> bool:
@@ -131,7 +128,7 @@ class MixBuffSide:
         self.events.add("mb_buff_write")
 
     # -- issue ----------------------------------------------------------
-    def issue_one_per_queue(self, ctx: IssueContext, distributed: bool) -> List[InFlight]:
+    def issue_one_per_queue(self, ctx: IssueContext) -> List[InFlight]:
         """Run each queue's selector and try to issue its pick."""
         issued: List[InFlight] = []
         for queue_index, queue in enumerate(self.queues):
@@ -146,14 +143,13 @@ class MixBuffSide:
                 chain_id: self._chain_completion(chain, ctx)
                 for chain_id, chain in self.chains[queue_index].items()
             }
-            queue_arg_probe = queue_index if distributed else None
             entries = [
                 SelectableEntry(uop.chain_id, uop.age, uop.delayed, uop)
                 for uop in queue
                 # The selector sits next to this queue's functional
                 # units; it never picks an instruction whose unit cannot
                 # accept work this cycle.
-                if ctx.fu_pool.can_allocate(uop.fu_type, ctx.cycle, queue_arg_probe)
+                if ctx.fu_pool.can_allocate(uop.fu_type, ctx.cycle, queue_index)
             ]
             pick = select_entry(entries, completion, ctx.cycle)
             if pick is None:
@@ -161,8 +157,7 @@ class MixBuffSide:
             uop: InFlight = pick.payload
             self.events.add("mb_reg_write")  # latch the selected instruction
             self.events.add("regs_ready_read", len(uop.src_phys))
-            queue_arg = queue_index if distributed else None
-            if ctx.issue(uop, queue_arg):
+            if ctx.issue(uop, queue_index):
                 self._remove_issued(uop, ctx.cycle)
                 issued.append(uop)
             else:
@@ -197,17 +192,12 @@ class MixBuffSide:
         if chain.starter is uop:
             chain.starter = None
         chain.pending -= 1
-        chain.completion_cycle = cycle + self._estimated_value_latency(uop)
+        chain.completion_cycle = cycle + value_latency(uop.op, self.config)
         if chain.pending == 0:
             # Chain drained: free its identifier and retire its mapping
             # so later consumers start fresh chains.
             del self.chains[queue_index][uop.chain_id]
             self.table.chain_retired(queue_index, uop.chain_id)
-
-    def _estimated_value_latency(self, uop: InFlight) -> int:
-        if uop.op.is_load:
-            return self._load_value_latency
-        return latency_for(uop.op, self.config.fus)
 
     # -- skipping-kernel support ------------------------------------------
     def next_code_boundary(self, cycle: int, scoreboard) -> Optional[int]:
@@ -272,7 +262,6 @@ class MixBuffScheme(IssueScheme):
             config,
             events,
         )
-        self._distributed = scheme.distributed_fus
         self._scoreboard = None
 
     def bind_scoreboard(self, scoreboard) -> None:
@@ -285,8 +274,8 @@ class MixBuffScheme(IssueScheme):
         return self.int_side.try_place(uop, cycle)
 
     def select_and_issue(self, ctx: IssueContext) -> List[InFlight]:
-        issued = self.int_side.issue_heads(ctx, self._distributed)
-        issued += self.fp_side.issue_one_per_queue(ctx, self._distributed)
+        issued = self.int_side.issue_heads(ctx)
+        issued += self.fp_side.issue_one_per_queue(ctx)
         return issued
 
     def on_result_broadcast(self, cycle: int, broadcasts: int) -> None:
@@ -304,6 +293,3 @@ class MixBuffScheme(IssueScheme):
 
     def occupancy(self) -> int:
         return self.int_side.occupancy() + self.fp_side.occupancy()
-
-    def queue_count_for_side(self, is_fp: bool) -> int:
-        return self.fp_side.num_queues if is_fp else self.int_side.num_queues

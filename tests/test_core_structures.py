@@ -3,14 +3,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import FunctionalUnitConfig
-from repro.common.errors import ConfigurationError, SimulationError
-from repro.core.functional_units import DistributedFuPool, PooledFuPool
+from repro.common.config import (
+    FunctionalUnitConfig,
+    IssueSchemeConfig,
+    ProcessorConfig,
+    default_config,
+)
+from repro.common.errors import SimulationError
+from repro.core.functional_units import FuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.rename import RenameMap
 from repro.core.rob import ReorderBuffer
 from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
+from repro.experiments import IF_DISTR
 from repro.isa.opcodes import FuType, OpClass
 
 from tests.util import alu, f, load, r, store
@@ -261,63 +267,98 @@ class TestLoadStoreQueue:
         assert not lsq.load_blocked_on_store_data(ld, sb)
 
 
+def fu_pool(distributed=False, **fu_counts):
+    """The pool of a processor with Table 1 units (overridden by
+    ``fu_counts``): conventional queues, or IF_distr if distributed."""
+    scheme = IF_DISTR if distributed else IssueSchemeConfig()
+    return FuPool(ProcessorConfig(fus=FunctionalUnitConfig(**fu_counts), scheme=scheme))
+
+
+def op_uop(op):
+    return make_uop(alu(0, f(1) if op.is_fp else r(1), op=op))
+
+
 class TestFunctionalUnits:
     def test_pooled_capacity_per_cycle(self):
-        pool = PooledFuPool(FunctionalUnitConfig())
+        pool = fu_pool()
         granted = sum(
-            pool.try_allocate(FuType.INT_ALU, OpClass.INT_ALU, 1, cycle=5, queue_index=None)
+            pool.try_allocate(op_uop(OpClass.INT_ALU), cycle=5, queue_index=0)
             for __ in range(10)
         )
         assert granted == 8  # Table 1: 8 integer ALUs
 
+    def test_pooled_bank_is_shared_across_queues(self):
+        # IssueFIFO_8x8_16x16 with pooled units: every integer queue may
+        # use any of the 8 ALUs, so 8 queues get one each in one cycle.
+        pool = FuPool(default_config(IssueSchemeConfig(
+            kind="issuefifo", int_queues=8, int_queue_entries=8,
+            fp_queues=16, fp_queue_entries=16,
+        )))
+        alu_op = op_uop(OpClass.INT_ALU)
+        assert all(pool.try_allocate(alu_op, 1, queue) for queue in range(8))
+        assert not pool.try_allocate(alu_op, 1, 0)
+
     def test_pipelined_unit_accepts_next_cycle(self):
-        pool = PooledFuPool(FunctionalUnitConfig(int_alu_count=1))
-        assert pool.try_allocate(FuType.INT_ALU, OpClass.INT_ALU, 1, 1, None)
-        assert not pool.try_allocate(FuType.INT_ALU, OpClass.INT_ALU, 1, 1, None)
-        assert pool.try_allocate(FuType.INT_ALU, OpClass.INT_ALU, 1, 2, None)
+        pool = fu_pool(int_alu_count=1)
+        uop = op_uop(OpClass.INT_ALU)
+        assert pool.try_allocate(uop, 1, 0)
+        assert not pool.try_allocate(uop, 1, 0)
+        assert pool.try_allocate(uop, 2, 0)
 
     def test_divide_blocks_unit_for_full_latency(self):
-        pool = PooledFuPool(FunctionalUnitConfig(int_muldiv_count=1))
-        assert pool.try_allocate(FuType.INT_MULDIV, OpClass.INT_DIV, 20, 1, None)
-        assert not pool.try_allocate(FuType.INT_MULDIV, OpClass.INT_MUL, 3, 10, None)
-        assert pool.try_allocate(FuType.INT_MULDIV, OpClass.INT_MUL, 3, 21, None)
+        pool = fu_pool(int_muldiv_count=1)
+        assert pool.try_allocate(op_uop(OpClass.INT_DIV), 1, 0)  # latency 20
+        assert not pool.try_allocate(op_uop(OpClass.INT_MUL), 10, 0)
+        assert pool.try_allocate(op_uop(OpClass.INT_MUL), 21, 0)
 
     def test_multiply_is_pipelined(self):
-        pool = PooledFuPool(FunctionalUnitConfig(int_muldiv_count=1))
-        assert pool.try_allocate(FuType.INT_MULDIV, OpClass.INT_MUL, 3, 1, None)
-        assert pool.try_allocate(FuType.INT_MULDIV, OpClass.INT_MUL, 3, 2, None)
+        pool = fu_pool(int_muldiv_count=1)
+        assert pool.try_allocate(op_uop(OpClass.INT_MUL), 1, 0)
+        assert pool.try_allocate(op_uop(OpClass.INT_MUL), 2, 0)
 
     def test_distributed_binding_per_queue(self):
-        pool = DistributedFuPool(8, 8, FunctionalUnitConfig())
-        assert pool.try_allocate(FuType.INT_ALU, OpClass.INT_ALU, 1, 1, queue_index=0)
+        pool = fu_pool(distributed=True)
+        uop = op_uop(OpClass.INT_ALU)
+        assert pool.try_allocate(uop, 1, queue_index=0)
         # Queue 0's ALU is busy this cycle; queue 1 has its own.
-        assert not pool.try_allocate(FuType.INT_ALU, OpClass.INT_ALU, 1, 1, queue_index=0)
-        assert pool.try_allocate(FuType.INT_ALU, OpClass.INT_ALU, 1, 1, queue_index=1)
+        assert not pool.try_allocate(uop, 1, queue_index=0)
+        assert pool.try_allocate(uop, 1, queue_index=1)
 
     def test_distributed_muldiv_shared_per_pair(self):
-        pool = DistributedFuPool(8, 8, FunctionalUnitConfig())
-        assert pool.try_allocate(FuType.INT_MULDIV, OpClass.INT_MUL, 3, 1, queue_index=0)
+        pool = fu_pool(distributed=True)
+        uop = op_uop(OpClass.INT_MUL)
+        assert pool.try_allocate(uop, 1, queue_index=0)
         # Queues 0 and 1 share one mul/div unit.
-        assert not pool.try_allocate(FuType.INT_MULDIV, OpClass.INT_MUL, 3, 1, queue_index=1)
-        assert pool.try_allocate(FuType.INT_MULDIV, OpClass.INT_MUL, 3, 1, queue_index=2)
+        assert not pool.try_allocate(uop, 1, queue_index=1)
+        assert pool.try_allocate(uop, 1, queue_index=2)
 
     def test_distributed_fp_units_per_pair(self):
-        pool = DistributedFuPool(8, 8, FunctionalUnitConfig())
-        assert len(pool.units_of(FuType.FP_ALU)) == 4
-        assert len(pool.units_of(FuType.FP_MULDIV)) == 4
-        assert len(pool.units_of(FuType.INT_ALU)) == 8
+        pool = fu_pool(distributed=True)
+        per_type = {
+            fu_type: sum(unit.fu_type is fu_type for unit in pool.units)
+            for fu_type in FuType
+        }
+        assert per_type == {
+            FuType.INT_ALU: 8,
+            FuType.INT_MULDIV: 4,
+            FuType.FP_ALU: 4,
+            FuType.FP_MULDIV: 4,
+        }
 
-    def test_distributed_requires_queue_index(self):
-        pool = DistributedFuPool(8, 8, FunctionalUnitConfig())
-        with pytest.raises(ConfigurationError):
-            pool.try_allocate(FuType.INT_ALU, OpClass.INT_ALU, 1, 1, None)
+    @pytest.mark.parametrize("distributed", [False, True], ids=["pooled", "distributed"])
+    def test_every_pool_requires_a_queue_index(self, distributed):
+        pool = fu_pool(distributed=distributed)
+        with pytest.raises(TypeError):
+            pool.try_allocate(op_uop(OpClass.INT_ALU), 1, None)
+        with pytest.raises(TypeError):
+            pool.can_allocate(FuType.INT_ALU, 1, None)
 
     def test_can_allocate_probe_is_non_destructive(self):
-        pool = PooledFuPool(FunctionalUnitConfig(int_alu_count=1))
-        assert pool.can_allocate(FuType.INT_ALU, 1)
-        assert pool.can_allocate(FuType.INT_ALU, 1)
-        pool.try_allocate(FuType.INT_ALU, OpClass.INT_ALU, 1, 1, None)
-        assert not pool.can_allocate(FuType.INT_ALU, 1)
+        pool = fu_pool(int_alu_count=1)
+        assert pool.can_allocate(FuType.INT_ALU, 1, 0)
+        assert pool.can_allocate(FuType.INT_ALU, 1, 0)
+        pool.try_allocate(op_uop(OpClass.INT_ALU), 1, 0)
+        assert not pool.can_allocate(FuType.INT_ALU, 1, 0)
 
 
 class TestInFlight:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import default_config
 from repro.isa.opcodes import OpClass
-from repro.issue.latency_estimator import IssueTimeEstimator
+from repro.issue.latency_estimator import IssueTimeEstimator, value_latency
 
 from tests.util import alu, branch, f, fpalu, load, r, store
 
@@ -66,11 +66,11 @@ class TestEstimator:
         estimator.reset()
         assert estimator.operand_cycle(r(1)) == 0
 
-    def test_value_latency_per_class(self, estimator):
+    def test_value_latency_per_class(self):
         cfg = default_config()
-        assert estimator.value_latency(OpClass.FP_MUL) == cfg.fus.fp_mul_latency
+        assert value_latency(OpClass.FP_MUL, cfg) == cfg.fus.fp_mul_latency
         assert (
-            estimator.value_latency(OpClass.LOAD)
+            value_latency(OpClass.LOAD, cfg)
             == cfg.fus.address_latency + cfg.dcache.hit_latency
         )
 

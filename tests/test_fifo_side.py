@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.common.config import default_config
+from repro.common.config import IssueSchemeConfig, default_config
 from repro.common.stats import StatCounters
-from repro.core.functional_units import PooledFuPool
+from repro.core.functional_units import FuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
@@ -84,14 +84,17 @@ class TestPlacement:
 
 class TestIssue:
     def make_ctx(self, cycle=0):
-        cfg = default_config()
+        # Pooled units, four integer queues: the geometry of the side.
+        cfg = default_config(
+            IssueSchemeConfig(kind="issuefifo", int_queues=4, int_queue_entries=2)
+        )
         self.scoreboard = Scoreboard(160, 160, 32, 32)
         completions = []
         ctx = IssueContext(
             cycle,
             cfg,
             self.scoreboard,
-            PooledFuPool(cfg.fus),
+            FuPool(cfg),
             LoadStoreQueue(),
             lambda uop, cyc: completions.append(uop),
         )
@@ -101,7 +104,7 @@ class TestIssue:
         a = place(side, make_uop(alu(0, r(1))))
         b = place(side, make_uop(alu(1, r(2), [r(1)])))  # behind a
         ctx = self.make_ctx()
-        issued = side.issue_heads(ctx, distributed=False)
+        issued = side.issue_heads(ctx)
         assert issued == [a]
         assert side.queues[a.queue_index][0] is b
 
@@ -111,7 +114,7 @@ class TestIssue:
         self_ctx = self.make_ctx()
         self_ctx.scoreboard.mark_pending((False, 40))
         place(side, uop)
-        assert side.issue_heads(self_ctx, distributed=False) == []
+        assert side.issue_heads(self_ctx) == []
 
     def test_heads_issue_oldest_first(self, side):
         young = make_uop(alu(5, r(2)), age=5)
@@ -119,7 +122,7 @@ class TestIssue:
         place(side, young)
         place(side, old)
         ctx = self.make_ctx()
-        issued = side.issue_heads(ctx, distributed=False)
+        issued = side.issue_heads(ctx)
         assert issued[0] is old
 
     def test_issue_consumes_budget(self, side):
@@ -127,7 +130,7 @@ class TestIssue:
             place(side, make_uop(alu(i, r(i + 1))))
         ctx = self.make_ctx()
         ctx.int_budget = 2
-        assert len(side.issue_heads(ctx, distributed=False)) == 2
+        assert len(side.issue_heads(ctx)) == 2
 
     def test_regs_ready_reads_counted_per_head(self):
         events = StatCounters()
@@ -136,5 +139,5 @@ class TestIssue:
         uop.src_phys = [(False, 2)]
         side.try_place(uop, 0)
         ctx = self.make_ctx()
-        side.issue_heads(ctx, distributed=False)
+        side.issue_heads(ctx)
         assert events.get("regs_ready_read") == 1

@@ -7,26 +7,54 @@ import pytest
 from repro.common.config import FunctionalUnitConfig
 from repro.common.errors import TraceError
 from repro.isa.instructions import Instruction, validate_instruction
-from repro.isa.opcodes import FuType, OpClass, fu_type_for, is_pipelined, latency_for
+from repro.isa.opcodes import FuType, OpClass, latency_for
 
 from tests.util import alu, branch, f, load, r, store
 
 
 #: Every op class's fixed facts: (is_fp, is_memory, is_load, is_store,
-#: is_branch, writes_fp_register, fu_type).
+#: is_branch, writes_fp_register, fu_type, pipelined).
 OP_FACTS = {
-    OpClass.INT_ALU: (False, False, False, False, False, False, FuType.INT_ALU),
-    OpClass.INT_MUL: (False, False, False, False, False, False, FuType.INT_MULDIV),
-    OpClass.INT_DIV: (False, False, False, False, False, False, FuType.INT_MULDIV),
-    OpClass.FP_ALU: (True, False, False, False, False, True, FuType.FP_ALU),
-    OpClass.FP_MUL: (True, False, False, False, False, True, FuType.FP_MULDIV),
-    OpClass.FP_DIV: (True, False, False, False, False, True, FuType.FP_MULDIV),
-    OpClass.LOAD: (False, True, True, False, False, False, FuType.INT_ALU),
-    OpClass.STORE: (False, True, False, True, False, False, FuType.INT_ALU),
+    OpClass.INT_ALU: (False, False, False, False, False, False, FuType.INT_ALU, True),
+    OpClass.INT_MUL: (False, False, False, False, False, False, FuType.INT_MULDIV, True),
+    OpClass.INT_DIV: (False, False, False, False, False, False, FuType.INT_MULDIV, False),
+    OpClass.FP_ALU: (True, False, False, False, False, True, FuType.FP_ALU, True),
+    OpClass.FP_MUL: (True, False, False, False, False, True, FuType.FP_MULDIV, True),
+    OpClass.FP_DIV: (True, False, False, False, False, True, FuType.FP_MULDIV, False),
+    OpClass.LOAD: (False, True, True, False, False, False, FuType.INT_ALU, True),
+    OpClass.STORE: (False, True, False, True, False, False, FuType.INT_ALU, True),
     # FP loads/stores dispatch to the integer side (address computation).
-    OpClass.FP_LOAD: (False, True, True, False, False, True, FuType.INT_ALU),
-    OpClass.FP_STORE: (False, True, False, True, False, False, FuType.INT_ALU),
-    OpClass.BRANCH: (False, False, False, False, True, False, FuType.INT_ALU),
+    OpClass.FP_LOAD: (False, True, True, False, False, True, FuType.INT_ALU, True),
+    OpClass.FP_STORE: (False, True, False, True, False, False, FuType.INT_ALU, True),
+    OpClass.BRANCH: (False, False, False, False, True, False, FuType.INT_ALU, True),
+}
+
+#: A unit configuration whose seven latencies are all distinct, so an op
+#: that reads the wrong field shows.
+DISTINCT_LATENCIES = FunctionalUnitConfig(
+    int_alu_latency=1,
+    int_mul_latency=3,
+    int_div_latency=20,
+    fp_alu_latency=2,
+    fp_mul_latency=4,
+    fp_div_latency=12,
+    address_latency=5,
+)
+
+#: Each op class's latency under ``DISTINCT_LATENCIES``: memory ops take
+#: the address latency, branches one integer-ALU op.
+OP_LATENCY = {
+    OpClass.INT_ALU: 1,
+    OpClass.INT_MUL: 3,
+    OpClass.INT_DIV: 20,
+    OpClass.FP_ALU: 2,
+    OpClass.FP_MUL: 4,
+    OpClass.FP_DIV: 12,
+    OpClass.LOAD: 5,
+    OpClass.STORE: 5,
+    OpClass.FP_LOAD: 5,
+    OpClass.FP_STORE: 5,
+    OpClass.BRANCH: 1,
 }
 
 
@@ -41,8 +69,8 @@ class TestOpClass:
             op.is_branch,
             op.writes_fp_register,
             op.fu_type,
+            op.pipelined,
         ) == OP_FACTS[op]
-        assert fu_type_for(op) is op.fu_type
 
     @pytest.mark.parametrize("op", list(OpClass), ids=lambda op: op.name)
     def test_unpickles_to_the_same_member(self, op):
@@ -52,13 +80,18 @@ class TestOpClass:
 
 class TestFuMapping:
     def test_compute_ops(self):
-        assert fu_type_for(OpClass.INT_ALU) is FuType.INT_ALU
-        assert fu_type_for(OpClass.INT_DIV) is FuType.INT_MULDIV
-        assert fu_type_for(OpClass.FP_MUL) is FuType.FP_MULDIV
+        assert OpClass.INT_ALU.fu_type is FuType.INT_ALU
+        assert OpClass.INT_DIV.fu_type is FuType.INT_MULDIV
+        assert OpClass.FP_MUL.fu_type is FuType.FP_MULDIV
 
     def test_memory_and_branch_use_int_alu(self):
         for op in (OpClass.LOAD, OpClass.STORE, OpClass.FP_LOAD, OpClass.BRANCH):
-            assert fu_type_for(op) is FuType.INT_ALU
+            assert op.fu_type is FuType.INT_ALU
+
+    def test_slot_follows_member_order(self):
+        # FuPool indexes its banks by slot, and the generated kernel bakes
+        # slots into its op table.
+        assert [fu.slot for fu in FuType] == [0, 1, 2, 3]
 
     def test_mux_event_per_unit_type(self):
         # The energy model weighs these names (EnergyModel mux weights).
@@ -85,11 +118,15 @@ class TestLatencies:
         assert latency_for(OpClass.LOAD, fus) == fus.address_latency
         assert latency_for(OpClass.FP_STORE, fus) == fus.address_latency
 
+    @pytest.mark.parametrize("op", list(OpClass), ids=lambda op: op.name)
+    def test_each_op_reads_its_own_latency(self, op):
+        assert latency_for(op, DISTINCT_LATENCIES) == OP_LATENCY[op]
+
     def test_divides_are_unpipelined(self):
-        assert not is_pipelined(OpClass.INT_DIV)
-        assert not is_pipelined(OpClass.FP_DIV)
-        assert is_pipelined(OpClass.INT_MUL)
-        assert is_pipelined(OpClass.FP_ALU)
+        assert not OpClass.INT_DIV.pipelined
+        assert not OpClass.FP_DIV.pipelined
+        assert OpClass.INT_MUL.pipelined
+        assert OpClass.FP_ALU.pipelined
 
 
 class TestValidation:

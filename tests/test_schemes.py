@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.config import IssueSchemeConfig, default_config
 from repro.common.stats import StatCounters
-from repro.core.functional_units import PooledFuPool
+from repro.core.functional_units import FuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
@@ -30,7 +30,7 @@ def make_ctx(config, cycle=0):
         cycle,
         config,
         scoreboard,
-        PooledFuPool(config.fus),
+        FuPool(config),
         LoadStoreQueue(),
         lambda uop, cyc: None,
     )
@@ -74,8 +74,9 @@ def _forwarding_store_data_unscheduled(ctx):
 
 
 def _fu_busy(ctx):
-    for unit in ctx.fu_pool.units_of(FuType.INT_MULDIV):
-        unit.busy_until = ctx.cycle + 10  # an unpipelined divide in flight
+    for unit in ctx.fu_pool.units:
+        if unit.fu_type is FuType.INT_MULDIV:
+            unit.busy_until = ctx.cycle + 10  # an unpipelined divide in flight
     return make_uop(alu(1, r(1), op=OpClass.INT_MUL))
 
 
@@ -94,7 +95,7 @@ class TestIssueContext:
             self.CYCLE,
             cfg,
             Scoreboard(160, 160, 32, 32),
-            PooledFuPool(cfg.fus),
+            FuPool(cfg),
             LoadStoreQueue(),
             lambda uop, cycle: completed.append((uop, cycle)),
         )
@@ -102,7 +103,7 @@ class TestIssueContext:
 
     @staticmethod
     def units(ctx):
-        return [(u.busy_until, u.last_issue_cycle) for u in ctx.fu_pool.all_units()]
+        return [(u.busy_until, u.last_issue_cycle) for u in ctx.fu_pool.units]
 
     def state(self, ctx, uop):
         return (
@@ -130,7 +131,7 @@ class TestIssueContext:
         ctx, completed = self.make()
         uop = gate(ctx)
         before = self.state(ctx, uop)
-        assert ctx.issue(uop) is False
+        assert ctx.issue(uop, 0) is False
         assert self.state(ctx, uop) == before
         assert completed == []
 
@@ -139,7 +140,7 @@ class TestIssueContext:
         uop = make_uop(load(1, r(1), 0x100))
         int_b, fp_b, mem_b = ctx.int_budget, ctx.fp_budget, ctx.memory_budget
         units = self.units(ctx)
-        assert ctx.issue(uop) is True
+        assert ctx.issue(uop, 0) is True
         assert (ctx.int_budget, ctx.fp_budget, ctx.memory_budget) == (
             int_b - 1, fp_b, mem_b - 1
         )
