@@ -1,16 +1,17 @@
 """Per-configuration kernel generation for the ``specialized`` backend.
 
 :func:`generate_source` emits a Python module specialized to one
-:class:`~repro.common.config.ProcessorConfig`: geometry constants,
+:class:`~repro.common.config.ProcessorConfig`: queue capacities,
 issue/commit widths, D-cache port count and every functional-unit
-latency are baked in as literals, the issue-scheme dispatch is resolved
-at generation time (only the configured scheme's selection code is
-emitted — dead branches folded), and the per-cycle hot path is flattened
-into one ``_step`` closure: the ``IssueContext`` call tower, the
-per-operand scoreboard accessors, ``_schedule_completion`` and the
-``StatCounters.add`` layer are all inlined into direct list/dict
-operations. CPython call overhead dominates the interpreted detailed
-path, so the flattening — not algorithmic change — is the speedup.
+latency are baked in, the issue-scheme dispatch is resolved at
+generation time (only the configured scheme's code is emitted — dead
+branches folded), and the per-cycle hot path is flattened into one
+``_step`` closure: commit, FIFO placement, the conventional append, the
+``IssueContext`` call tower, the per-operand scoreboard accessors,
+``_schedule_completion`` and the ``StatCounters.add`` layer are all
+inlined into direct list/dict operations. CPython call overhead
+dominates the interpreted detailed path, so the flattening — not
+algorithmic change — is the speedup.
 
 The generated module exposes ``make_step(processor)`` returning that
 ``_step(cycle) -> (active, retired)`` closure, a drop-in for
@@ -28,9 +29,16 @@ Inlining ground rules (the bit-identity contract):
   conventional scheme's ready-bound cache keys on it);
 * ``_scan_shortcircuit`` is read from the scheme at *run* time — the
   equivalence tests toggle it;
-* anything stateful that is not hot stays a call: placement heuristics
-  (``scheme.try_dispatch``), rename, commit, fetch, LSQ bookkeeping,
-  the MixBUFF FP selector (which gets a real ``IssueContext``).
+* an instruction's facts are read where the interpreter reads them:
+  ``uop.op``'s and ``uop.fu_type``'s attributes and the ``issue_srcs``
+  slot that ``InFlight.set_sources`` fills. Generated code never keys a
+  dict by an enum member (``Enum.__hash__`` is a Python call); only the
+  latencies, which depend on the config, are baked, into ``_LAT``
+  keyed by ``op.latency_field``;
+* the estimator-placed LatFIFO FP side, the MixBUFF FP chain placement
+  (both through ``scheme.try_dispatch``) and the MixBUFF FP selector
+  (which gets a real ``IssueContext``) stay interpreted, as do rename,
+  fetch and the LSQ bookkeeping.
 
 Compiled kernels are memoized per process by
 :mod:`repro.backends.kernel_cache`.
@@ -70,28 +78,29 @@ def kernel_spec(config: ProcessorConfig) -> dict:
     e.g. all benchmarks of one figure share one compiled kernel per
     scheme. Anything that cannot change the emitted source (cache
     geometry, branch predictor, register-file sizes) stays out, and so
-    does the binding of functional units to queues: the kernel reads it
-    from the processor's ``FuPool`` banks at run time.
+    do the queue counts, which the kernel reads from the scheme's queue
+    lists at run time, MixBUFF's chain limit, which only its interpreted
+    FP placement reads, and the binding of functional units to queues,
+    which the kernel reads from the processor's ``FuPool`` banks.
+    ``latencies`` maps each ``FunctionalUnitConfig`` latency field to
+    its value.
     """
     scheme = config.scheme
-    fus = config.fus
     return {
         "v": 1,
         "scheme_kind": scheme.kind,
-        "int_queues": scheme.int_queues,
         "int_queue_entries": scheme.int_queue_entries,
-        "fp_queues": scheme.fp_queues,
         "fp_queue_entries": scheme.fp_queue_entries,
         "unbounded": bool(scheme.unbounded),
-        "max_chains": scheme.max_chains_per_queue,
         "decode_width": config.decode_width,
         "commit_width": config.commit_width,
         "int_issue_width": config.int_issue_width,
         "fp_issue_width": config.fp_issue_width,
         "dcache_ports": config.dcache.ports,
         "rob_entries": config.rob_entries,
-        "address_latency": fus.address_latency,
-        "latencies": {op.name: latency_for(op, fus) for op in OpClass},
+        "latencies": {
+            op.latency_field: latency_for(op, config.fus) for op in OpClass
+        },
     }
 
 
@@ -107,57 +116,40 @@ def _indent(block: str, spaces: int) -> str:
     return "\n".join(pad + line if line.strip() else "" for line in block.splitlines())
 
 
-def _opinfo_literal(spec: dict) -> str:
-    """``_OPINFO`` dict literal: per-op static facts with baked latencies.
+def _attempt_block(queue: str, fp_side: bool) -> str:
+    """Inlined ``IssueContext.issue`` of ``head`` from queue ``queue``,
+    once the caller has checked the side's issue width.
 
-    Tuple layout (unpacked in the hot loops):
-    ``(is_fp, is_memory, is_load, is_store, is_branch, latency,
-    mux_event, pipelined, fu_slot)``.
+    In ``issue``'s order: the memory-port check, operand readiness over
+    ``issue_srcs``, load gating, ``FuPool.try_allocate`` from the
+    queue's bank, the budget spend, then ``_schedule_completion``. A
+    failed check ``continue``s with no side effect, as a rejected
+    ``issue`` has none. FP-side ops are never memory ops or branches
+    (``OpClass.is_fp``), so their template leaves those parts out.
     """
-    lines = ["_OPINFO = {"]
-    for op in OpClass:
-        fu = op.fu_type
-        lines.append(
-            f"    OpClass.{op.name}: ({op.is_fp}, {op.is_memory}, {op.is_load}, "
-            f"{op.is_store}, {op.is_branch}, {spec['latencies'][op.name]}, "
-            f"{fu.mux_event!r}, {op.pipelined}, {fu.slot}),"
-        )
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def _fu_alloc_block(queue: str) -> str:
-    """Inlined ``FuPool.try_allocate`` from the bank of queue ``queue``;
-    fails with ``continue`` (mirrors a failed ``try_allocate`` — no side
-    effects)."""
-    return f"""\
-for unit in _banks[fus][{queue}]:
-    if cycle > unit.busy_until and cycle > unit.last_issue_cycle:
-        unit.last_issue_cycle = cycle
-        if not pip:
-            unit.busy_until = cycle + lat - 1
-        break
-else:
+    if fp_side:
+        port_check = load_gate = memory_completion = branch = ""
+        spend = "fp_b -= 1"
+    else:
+        port_check = """
+is_mem = op.is_memory
+if is_mem and mem_b <= 0:
     continue"""
-
-
-def _completion_block(spec: dict, fp_only: bool) -> str:
-    """Inlined ``Processor._schedule_completion`` for the issued ``head``."""
-    if fp_only:
-        # FP-side ops are never memory or branches (OpClass.is_fp).
-        return """\
-complete = cycle + lat
-head.complete_cycle = complete
-_ev[mux] = _ev.get(mux, 0) + 1
-dp = head.dest_phys
-if dp is not None:
-    fp_, ix = dp
-    (sb_fp if fp_ else sb_int)[ix] = complete
-    sb._version += 1
-    bc_wheel[complete] = bc_wheel.get(complete, 0) + 1"""
-    return f"""\
+        load_gate = """
+is_ld = op.is_load
+if is_ld and (
+    not lsq.can_issue_load(head.seq)
+    or lsq.load_blocked_on_store_data(head, sb)
+):
+    continue"""
+        spend = """\
+int_b -= 1
+if is_mem:
+    mem_b -= 1"""
+        # A memory op's latency is its address computation.
+        memory_completion = """
 if is_ld:
-    start, fwd = lsq.load_access_constraints(head, cycle + {spec['address_latency']})
+    start, fwd = lsq.load_access_constraints(head, complete)
     if fwd is not None:
         _sp = fwd.src_phys
         if _sp:
@@ -167,72 +159,55 @@ if is_ld:
             data_ready = start
         complete = (start if start >= data_ready else data_ready) + 1
     else:
-        complete = start + hierarchy.data_access_latency(inst.mem_addr)
-elif is_st:
-    complete = cycle + {spec['address_latency']}
-    lsq.store_issued(head, complete)
+        complete = start + hierarchy.data_access_latency(head.inst.mem_addr)
+elif op.is_store:
+    lsq.store_issued(head, complete)"""
+        branch = """
+if op.is_branch:
+    if complete in br_res:
+        br_res[complete].append(head)
+    else:
+        br_res[complete] = [head]"""
+    return f"""\
+op = head.op{port_check}
+ready = True
+for fp_, ix in head.issue_srcs:
+    if (sb_fp if fp_ else sb_int)[ix] > cycle:
+        ready = False
+        break
+if not ready:
+    continue{load_gate}
+fu = head.fu_type
+for unit in _banks[fu.slot][{queue}]:
+    if cycle > unit.busy_until and cycle > unit.last_issue_cycle:
+        unit.last_issue_cycle = cycle
+        if not op.pipelined:
+            unit.busy_until = cycle + _lat[op.latency_field] - 1
+        break
 else:
-    complete = cycle + lat
+    continue
+{spend}
+head.issue_cycle = cycle
+complete = cycle + _lat[op.latency_field]{memory_completion}
 head.complete_cycle = complete
+mux = fu.mux_event
 _ev[mux] = _ev.get(mux, 0) + 1
 dp = head.dest_phys
 if dp is not None:
     fp_, ix = dp
     (sb_fp if fp_ else sb_int)[ix] = complete
     sb._version += 1
-    bc_wheel[complete] = bc_wheel.get(complete, 0) + 1
-if is_br:
-    if complete in br_res:
-        br_res[complete].append(head)
-    else:
-        br_res[complete] = [head]"""
+    bc_wheel[complete] = bc_wheel.get(complete, 0) + 1{branch}"""
 
 
-def _fifo_heads_block(spec: dict, queues_var: str, fp_side: bool) -> str:
+def _fifo_heads_block(queues_var: str, fp_side: bool) -> str:
     """One FIFO side's ``issue_heads``, fully inlined.
 
-    Budget early-break and the operand pregate skip only ``ctx.issue``
-    calls that provably fail with zero side effects, so the issued set,
-    queue state and every counter match the interpreted side exactly.
+    The budget early-break skips only ``ctx.issue`` calls that provably
+    fail with zero side effects, so the issued set, queue state and
+    every counter match the interpreted side exactly.
     """
     budget = "fp_b" if fp_side else "int_b"
-    fu_alloc = _indent(_fu_alloc_block("_qi"), 8)
-    if fp_side:
-        unpack = "__, __, __, __, __, lat, mux, pip, fus = _opinfo[inst.op]"
-        gates = """\
-        ready = True
-        for fp_, ix in head.src_phys:
-            if (sb_fp if fp_ else sb_int)[ix] > cycle:
-                ready = False
-                break
-        if not ready:
-            continue"""
-        budget_spend = f"        {budget} -= 1"
-    else:
-        unpack = "is_fp_, is_mem, is_ld, is_st, is_br, lat, mux, pip, fus = _opinfo[inst.op]"
-        gates = """\
-        if is_mem and mem_b <= 0:
-            continue
-        srcs = head.src_phys
-        if is_st and len(srcs) > 1:
-            srcs = srcs[1:]
-        ready = True
-        for fp_, ix in srcs:
-            if (sb_fp if fp_ else sb_int)[ix] > cycle:
-                ready = False
-                break
-        if not ready:
-            continue
-        if is_ld and (
-            not lsq.can_issue_load(inst.seq)
-            or lsq.load_blocked_on_store_data(head, sb)
-        ):
-            continue"""
-        budget_spend = f"""\
-        {budget} -= 1
-        if is_mem:
-            mem_b -= 1"""
-    completion = _indent(_completion_block(spec, fp_side), 8)
     return f"""\
 heads = []
 total_reads = 0
@@ -249,60 +224,16 @@ if heads:
             break
         _q = {queues_var}[_qi]
         head = _q[0]
-        inst = head.inst
-        {unpack}
-{gates}
-{fu_alloc}
-{budget_spend}
-        head.issue_cycle = cycle
-{completion}
+{_indent(_attempt_block("_qi", fp_side), 8)}
         _q.popleft()
         _ev["fifo_read"] = _ev.get("fifo_read", 0) + 1
         issued_n += 1"""
 
 
-def _conventional_side_block(spec: dict, side: int) -> str:
+def _conventional_side_block(side: int) -> str:
     """One side of the CAM/RAM baseline: ready-bound scan + selection."""
     queue_var = "cq_fp" if side else "cq_int"
     budget = "fp_b" if side else "int_b"
-    fp_side = bool(side)
-    fu_alloc = _indent(_fu_alloc_block("0"), 12)
-    completion = _indent(_completion_block(spec, fp_side), 12)
-    if fp_side:
-        unpack = "__, __, __, __, __, lat, mux, pip, fus = _opinfo[inst.op]"
-        gates = """\
-            ready = True
-            for fp_, ix in head.src_phys:
-                if (sb_fp if fp_ else sb_int)[ix] > cycle:
-                    ready = False
-                    break
-            if not ready:
-                continue"""
-        budget_spend = f"            {budget} -= 1"
-    else:
-        unpack = "is_fp_, is_mem, is_ld, is_st, is_br, lat, mux, pip, fus = _opinfo[inst.op]"
-        gates = """\
-            if is_mem and mem_b <= 0:
-                continue
-            srcs = head.src_phys
-            if is_st and len(srcs) > 1:
-                srcs = srcs[1:]
-            ready = True
-            for fp_, ix in srcs:
-                if (sb_fp if fp_ else sb_int)[ix] > cycle:
-                    ready = False
-                    break
-            if not ready:
-                continue
-            if is_ld and (
-                not lsq.can_issue_load(inst.seq)
-                or lsq.load_blocked_on_store_data(head, sb)
-            ):
-                continue"""
-        budget_spend = f"""\
-            {budget} -= 1
-            if is_mem:
-                mem_b -= 1"""
     return f"""\
 queue = {queue_var}
 if queue:
@@ -317,11 +248,8 @@ if queue:
         else:
             bound = _NEVER
             for uop in queue:
-                srcs = uop.src_phys
-                if _opinfo[uop.inst.op][3] and len(srcs) > 1:
-                    srcs = srcs[1:]
                 latest = 0
-                for fp_, ix in srcs:
+                for fp_, ix in uop.issue_srcs:
                     r = (sb_fp if fp_ else sb_int)[ix]
                     if r > latest:
                         latest = r
@@ -337,13 +265,7 @@ if queue:
         for _i, head in enumerate(queue):
             if {budget} <= 0:
                 break
-            inst = head.inst
-            {unpack}
-{gates}
-{fu_alloc}
-{budget_spend}
-            head.issue_cycle = cycle
-{completion}
+{_indent(_attempt_block("0", bool(side)), 12)}
             taken.append(_i)
             issued_n += 1
         if taken:
@@ -432,7 +354,7 @@ def _dispatch_place_block(spec: dict) -> str:
         int_cap = spec["rob_entries"] if spec["unbounded"] else spec["int_queue_entries"]
         fp_cap = spec["rob_entries"] if spec["unbounded"] else spec["fp_queue_entries"]
         return f"""\
-if _opinfo[inst.op][0]:
+if uop.op.is_fp:
     if len(cq_fp) >= {fp_cap}:
         rob._next_age = age
         stalled = True
@@ -460,7 +382,7 @@ _ev["iq_buff_write"] = _ev.get("iq_buff_write", 0) + 1"""
     else:  # latfifo estimator placement / mixbuff chains stay interpreted
         fp_place = _INTERPRETED_PLACE
     return (
-        "if _opinfo[inst.op][0]:\n"
+        "if uop.op.is_fp:\n"
         + _indent(fp_place, 4)
         + "\nelse:\n"
         + _indent(int_place, 4)
@@ -478,16 +400,16 @@ fp_b = {spec['fp_issue_width']}"""
         return "\n".join(
             [
                 header,
-                _conventional_side_block(spec, 0),
-                _conventional_side_block(spec, 1),
+                _conventional_side_block(0),
+                _conventional_side_block(1),
             ]
         )
     if kind in (SCHEME_ISSUEFIFO, SCHEME_LATFIFO):
         return "\n".join(
             [
                 header,
-                _fifo_heads_block(spec, "int_queues_list", fp_side=False),
-                _fifo_heads_block(spec, "fp_queues_list", fp_side=True),
+                _fifo_heads_block("int_queues_list", fp_side=False),
+                _fifo_heads_block("fp_queues_list", fp_side=True),
             ]
         )
     if kind == SCHEME_MIXBUFF:
@@ -506,7 +428,7 @@ if _mb_occ:
         return "\n".join(
             [
                 header,
-                _fifo_heads_block(spec, "int_queues_list", fp_side=False),
+                _fifo_heads_block("int_queues_list", fp_side=False),
                 mixbuff_fp,
             ]
         )
@@ -585,12 +507,11 @@ Spec: {json.dumps(spec, sort_keys=True)}
 """
 
 from repro.core.uop import InFlight
-from repro.isa.opcodes import OpClass
 from repro.issue.base import IssueContext
 
 _NEVER = 1 << 60
 
-{_opinfo_literal(spec)}
+_LAT = {spec["latencies"]!r}
 
 
 def make_step(processor):
@@ -614,7 +535,7 @@ def make_step(processor):
     fu_pool = processor.fu_pool
     _banks = fu_pool._banks
 {_indent(_scheme_bindings(spec), 4)}
-    _opinfo = _OPINFO
+    _lat = _LAT
 
     def _step(cycle):
         # stage 1: branch resolutions due this cycle
@@ -639,7 +560,7 @@ def make_step(processor):
             rob_entries.popleft()
             if head.prev_phys is not None:
                 renamer.release(head.prev_phys)
-            if _opinfo[head.inst.op][3]:
+            if head.op.is_store:
                 lsq.retire_store(head)
                 hierarchy.data_access_latency(head.inst.mem_addr, is_store=True)
             retired += 1
@@ -667,14 +588,15 @@ def make_step(processor):
             uop = InFlight(inst, age)
 {_indent(_dispatch_place_block(spec), 12)}
             decode_queue.popleft()
-            uop.src_phys, dp, uop.prev_phys = renamer.rename(inst.srcs, inst.dest)
+            srcs, dp, uop.prev_phys = renamer.rename(inst.srcs, inst.dest)
+            uop.set_sources(srcs)
             uop.dest_phys = dp
             if dp is not None:
                 fp_, ix = dp
                 (sb_fp if fp_ else sb_int)[ix] = _NEVER
                 sb._version += 1
             rob_entries.append(uop)
-            if _opinfo[inst.op][3]:
+            if uop.op.is_store:
                 lsq.add_store(uop)
             dispatched += 1
         if stalled:

@@ -185,9 +185,10 @@ class Processor:
                 stalled = True
                 break
             self._decode_queue.popleft()
-            uop.src_phys, uop.dest_phys, uop.prev_phys = self.renamer.rename(
+            src_phys, uop.dest_phys, uop.prev_phys = self.renamer.rename(
                 inst.srcs, inst.dest
             )
+            uop.set_sources(src_phys)
             if uop.dest_phys is not None:
                 self.scoreboard.mark_pending(uop.dest_phys)
             self.rob.push(uop)

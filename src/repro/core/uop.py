@@ -19,8 +19,9 @@ class InFlight:
     """One dispatched, not-yet-committed instruction.
 
     ``op``, ``seq`` and ``fu_type`` copy facts of ``inst`` that never
-    change; they are slots, not properties, because the issue stage
-    reads them for every candidate every cycle.
+    change, and ``issue_srcs`` is set once with the renamed sources
+    (:meth:`set_sources`); they are slots, not properties, because the
+    issue stage reads them for every candidate every cycle.
     """
 
     __slots__ = (
@@ -29,6 +30,7 @@ class InFlight:
         "seq",
         "fu_type",
         "src_phys",
+        "issue_srcs",
         "dest_phys",
         "prev_phys",
         "age",
@@ -46,8 +48,9 @@ class InFlight:
         self.op: OpClass = inst.op
         self.seq: int = inst.seq
         self.fu_type: FuType = inst.op.fu_type
-        # Renamed registers, filled in once placement succeeds.
+        # Renamed registers, set by set_sources once placement succeeds.
         self.src_phys: List[Tuple[bool, int]] = []
+        self.issue_srcs: List[Tuple[bool, int]] = self.src_phys
         self.dest_phys: Optional[Tuple[bool, int]] = None
         self.prev_phys: Optional[Tuple[bool, int]] = None
         self.age = age
@@ -61,9 +64,9 @@ class InFlight:
         # For stores: cycle at which the address is known (set at issue).
         self.store_addr_known_cycle: Optional[int] = None
 
-    @property
-    def issue_srcs(self) -> List[Tuple[bool, int]]:
-        """Operands that must be ready for the instruction to *issue*.
+    def set_sources(self, src_phys: List[Tuple[bool, int]]) -> None:
+        """Record the renamed sources and the operands that must be ready
+        for the instruction to *issue* (``issue_srcs``).
 
         Stores are split into address computation and data movement
         (Section 3.1): they issue once the address operands are ready
@@ -71,9 +74,10 @@ class InFlight:
         rest are address operands — and read their data at commit, which
         in-order retirement guarantees is ready by then.
         """
-        if self.op.is_store and len(self.src_phys) > 1:
-            return self.src_phys[1:]
-        return self.src_phys
+        self.src_phys = src_phys
+        self.issue_srcs = (
+            src_phys[1:] if self.op.is_store and len(src_phys) > 1 else src_phys
+        )
 
     @property
     def issued(self) -> bool:

@@ -91,13 +91,19 @@ class FifoSide:
     # -- issue ---------------------------------------------------------
     def issue_heads(self, ctx: IssueContext) -> List[InFlight]:
         """Issue ready FIFO heads, oldest first."""
-        heads = [(queue[0].age, index) for index, queue in enumerate(self.queues) if queue]
+        heads = []
+        reads = 0
+        for index, queue in enumerate(self.queues):
+            if queue:
+                head = queue[0]
+                heads.append((head.age, index, head))
+                reads += len(head.src_phys)
         # Every head reads its operands' ready bits this cycle.
-        for __, index in heads:
-            self.events.add("regs_ready_read", len(self.queues[index][0].src_phys))
+        if reads:
+            self.events.add("regs_ready_read", reads)
+        heads.sort()
         issued: List[InFlight] = []
-        for __, index in sorted(heads):
-            head = self.queues[index][0]
+        for __, index, head in heads:
             if ctx.issue(head, index):
                 self.queues[index].popleft()
                 self.events.add("fifo_read")

@@ -63,10 +63,6 @@ class QueueRenameTable:
         self._map[key] = queue
         self._tail_reg[queue] = key
 
-    def queue_emptied(self, queue: int) -> None:
-        """Queue drained completely; its tail marker goes away."""
-        self._tail_reg[queue] = None
-
     def clear(self) -> None:
         """Branch misprediction: wipe the whole table."""
         self._map.clear()

@@ -7,15 +7,40 @@ the in-process memo of compiled kernels (a memo hit performs zero
 codegen, and nothing is written to disk).
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.backends import codegen, kernel_cache
-from repro.common.config import KERNEL_SPECIALIZED, VALID_KERNELS, default_config
+from repro.common.config import (
+    KERNEL_NAIVE,
+    KERNEL_SPECIALIZED,
+    VALID_KERNELS,
+    default_config,
+)
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.experiments import IF_DISTR, IQ_64_64
 from repro.experiments.runner import RunScale, simulate_pair
 
 SCALE = RunScale(num_instructions=800, warmup_instructions=400, seed=5)
+
+#: One change per kind of field the generated source bakes in.
+BAKED_FIELD_CHANGES = {
+    "int_queue_entries": lambda c: replace(c, scheme=replace(c.scheme, int_queue_entries=32)),
+    "fp_queue_entries": lambda c: replace(c, scheme=replace(c.scheme, fp_queue_entries=32)),
+    "unbounded": lambda c: replace(c, scheme=replace(c.scheme, unbounded=True)),
+    "scheme_kind": lambda c: replace(c, scheme=IF_DISTR),
+    "int_issue_width": lambda c: replace(c, int_issue_width=4),
+    "commit_width": lambda c: replace(c, commit_width=4),
+    "dcache_ports": lambda c: replace(c, dcache=replace(c.dcache, ports=2)),
+    "fp_div_latency": lambda c: replace(c, fus=replace(c.fus, fp_div_latency=16)),
+    "address_latency": lambda c: replace(c, fus=replace(c.fus, address_latency=2)),
+}
+
+
+def _code(spec):
+    """Generated source past its docstring."""
+    return codegen.generate_source(spec).split('"""', 2)[2]
 
 
 def _gzip_processor():
@@ -57,18 +82,33 @@ class TestKernelSpec:
         other = codegen.kernel_spec(default_config(IF_DISTR))
         assert codegen.spec_digest(spec_a) != codegen.spec_digest(other)
 
-    def test_every_campaign_config_gets_its_own_spec(self):
-        # Each figure configuration must run its own generated kernel: two
-        # configurations sharing a spec would share baked-in geometry.
-        from repro.experiments.campaign import ALL_FIGURES
-        from repro.experiments.figures import required_runs
+    def test_queue_count_shares_one_kernel(self, monkeypatch):
+        # The kernel walks the scheme's queue lists at run time, so
+        # configurations that differ only in queue count run one compiled
+        # module, and each stays bit-identical to the reference.
+        monkeypatch.setattr(kernel_cache, "_memo", {})
+        narrow = replace(IF_DISTR, int_queues=4, fp_queues=4)
+        before = codegen.CODEGEN_RUNS
+        modules, results = [], []
+        for scheme in (IF_DISTR, narrow):
+            spec = codegen.kernel_spec(default_config(scheme))
+            modules.append(kernel_cache.load_kernel_module(spec))
+            naive = simulate_pair("gzip", scheme, SCALE, kernel=KERNEL_NAIVE)[0]
+            specialized = simulate_pair("gzip", scheme, SCALE, kernel=KERNEL_SPECIALIZED)[0]
+            assert specialized.to_dict() == naive.to_dict()
+            results.append(naive.to_dict())
+        assert modules[0] is modules[1]
+        assert codegen.CODEGEN_RUNS == before + 1
+        assert results[0] != results[1]  # the queue count did change the run
 
-        schemes = {scheme for __, scheme in required_runs(ALL_FIGURES)}
-        digests = {
-            codegen.spec_digest(codegen.kernel_spec(default_config(scheme)))
-            for scheme in schemes
-        }
-        assert len(digests) == len(schemes)
+    @pytest.mark.parametrize("change", sorted(BAKED_FIELD_CHANGES))
+    def test_baked_field_changes_spec_and_source(self, change):
+        base = default_config(IQ_64_64)
+        changed = BAKED_FIELD_CHANGES[change](base)
+        spec, other = codegen.kernel_spec(base), codegen.kernel_spec(changed)
+        assert codegen.spec_digest(spec) != codegen.spec_digest(other)
+        # Past the docstring, which quotes the spec, the code differs too.
+        assert _code(spec) != _code(other)
 
     def test_kernel_excluded_from_spec(self):
         # The knob selects the execution strategy; it must not fork the

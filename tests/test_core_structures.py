@@ -24,7 +24,7 @@ from tests.util import alu, f, load, r, store
 
 def make_uop(inst, seq_age=None, src_phys=(), dest_phys=None):
     uop = InFlight(inst, seq_age if seq_age is not None else inst.seq)
-    uop.src_phys = list(src_phys)
+    uop.set_sources(list(src_phys))
     uop.dest_phys = dest_phys
     return uop
 
@@ -376,14 +376,25 @@ class TestInFlight:
         uop = make_uop(inst)
         assert (uop.op, uop.seq, uop.fu_type) == (inst.op, inst.seq, inst.op.fu_type)
 
-    def test_store_issue_srcs_exclude_data(self):
-        uop = make_uop(store(0, r(1), 0x100, [r(2)]),
-                       src_phys=[(False, 1), (False, 2)])
-        assert uop.issue_srcs == [(False, 2)]
-
-    def test_load_issue_srcs_include_all(self):
-        uop = make_uop(load(0, r(1), 0x100, [r(2)]), src_phys=[(False, 2)])
-        assert uop.issue_srcs == [(False, 2)]
+    @pytest.mark.parametrize(
+        "inst,src_phys,issue_srcs",
+        [
+            # A store issues on its address operands; srcs[0] is its data.
+            (store(0, r(1), 0x100, [r(2)]), [(False, 1), (False, 2)], [(False, 2)]),
+            (store(0, r(1), 0x100), [(False, 1)], [(False, 1)]),
+            (load(0, r(1), 0x100, [r(2)]), [(False, 2)], [(False, 2)]),
+            (alu(0, r(1), [r(2), r(3)]), [(False, 2), (False, 3)],
+             [(False, 2), (False, 3)]),
+            (alu(0, f(1), [f(2), f(3)], op=OpClass.FP_MUL), [(True, 2), (True, 3)],
+             [(True, 2), (True, 3)]),
+        ],
+        ids=["store_drops_data", "store_without_address", "load", "int_alu", "fp_mul"],
+    )
+    def test_set_sources(self, inst, src_phys, issue_srcs):
+        uop = InFlight(inst, 0)
+        uop.set_sources(src_phys)
+        assert uop.src_phys == src_phys
+        assert uop.issue_srcs == issue_srcs
 
     def test_state_flags(self):
         uop = make_uop(alu(0, r(1)))

@@ -110,7 +110,7 @@ class TestIssue:
 
     def test_unready_head_blocks_queue(self, side):
         uop = make_uop(alu(0, r(1), [r(2)]))
-        uop.src_phys = [(False, 40)]  # pending physical register
+        uop.set_sources([(False, 40)])  # pending physical register
         self_ctx = self.make_ctx()
         self_ctx.scoreboard.mark_pending((False, 40))
         place(side, uop)
@@ -136,7 +136,7 @@ class TestIssue:
         events = StatCounters()
         side = FifoSide(False, 4, 2, events)
         uop = make_uop(alu(0, r(1), [r(2)]))
-        uop.src_phys = [(False, 2)]
+        uop.set_sources([(False, 2)])
         side.try_place(uop, 0)
         ctx = self.make_ctx()
         side.issue_heads(ctx)

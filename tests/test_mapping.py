@@ -52,12 +52,6 @@ class TestQueueRenameTable:
         table.clear()
         assert table.queue_of(r(5)) is None
 
-    def test_queue_emptied_invalidates(self):
-        table = self.make()
-        table.set_tail(3, r(5))
-        table.queue_emptied(3)
-        assert table.queue_of(r(5)) is None
-
     def test_energy_events_counted(self):
         events = StatCounters()
         table = QueueRenameTable(events)

@@ -55,7 +55,7 @@ def _memory_ports_spent(ctx):
 def _unready_source(ctx):
     ctx.scoreboard.mark_pending((False, 40))
     uop = make_uop(alu(1, r(1), [r(2)]))
-    uop.src_phys = [(False, 40)]
+    uop.set_sources([(False, 40)])
     return uop
 
 
@@ -66,7 +66,7 @@ def _older_store_unissued(ctx):
 
 def _forwarding_store_data_unscheduled(ctx):
     older = make_uop(store(0, r(3), 0x100))
-    older.src_phys = [(False, 40)]
+    older.set_sources([(False, 40)])
     ctx.scoreboard.mark_pending((False, 40))
     ctx.lsq.add_store(older)
     ctx.lsq.store_issued(older, addr_known_cycle=ctx.cycle)
@@ -206,7 +206,7 @@ class TestConventional:
     def test_out_of_order_issue_skips_unready(self):
         cfg, scheme = self.make(entries=4)
         blocked = make_uop(alu(0, r(1), [r(2)]))
-        blocked.src_phys = [(False, 40)]  # never ready
+        blocked.set_sources([(False, 40)])  # never ready
         ready = make_uop(alu(1, r(3)))
         scheme.try_dispatch(blocked, 0)
         scheme.try_dispatch(ready, 0)
@@ -219,7 +219,7 @@ class TestConventional:
     def test_wakeup_events_count_unready_operands(self):
         cfg, scheme = self.make(entries=4)
         uop = make_uop(alu(0, r(1), [r(2), r(3)]))
-        uop.src_phys = [(False, 40), (False, 41)]
+        uop.set_sources([(False, 40), (False, 41)])
         scheme.try_dispatch(uop, 0)
         scheme._scoreboard.mark_pending((False, 40))
         scheme._scoreboard.mark_pending((False, 41))
@@ -373,7 +373,7 @@ class TestMixBuffScheme:
         ready = [make_uop(fpalu(i, f(i))) for i in range(3)]
         for uop in ready:
             scheme.try_dispatch(uop, 0)
-            uop.src_phys = []
+            uop.set_sources([])
         ctx = make_ctx(cfg, cycle=5)
         issued = scheme.select_and_issue(ctx)
         fp_issued = [u for u in issued if u.op.is_fp]
@@ -384,7 +384,7 @@ class TestMixBuffScheme:
         cfg, scheme = self.make(fp_queues=1, fp_entries=8)
         blocked = make_uop(fpalu(0, f(1), [f(2)]))
         scheme.try_dispatch(blocked, 0)
-        blocked.src_phys = [(True, 40)]
+        blocked.set_sources([(True, 40)])
         ctx = make_ctx(cfg, cycle=5)
         ctx.scoreboard.mark_pending((True, 40))
         # Starter operand unscheduled -> chain reads not-ready -> nothing
@@ -402,7 +402,7 @@ class TestMixBuffScheme:
         cfg, scheme = self.make(fp_queues=1, fp_entries=8)
         uop = make_uop(fpalu(0, f(1)))
         scheme.try_dispatch(uop, 0)
-        uop.src_phys = []
+        uop.set_sources([])
         ctx = make_ctx(cfg, cycle=5)
         assert scheme.select_and_issue(ctx) == [uop]
         assert scheme.fp_side.live_chains() == 0
