@@ -32,12 +32,18 @@ class PhysicalRegister:
 
 
 class _RegisterFile:
-    """Free list + mapping for one register class."""
+    """Free list + mapping for one register class.
+
+    ``is_free[i]`` says whether physical register ``i`` is on the free
+    list; it changes together with the list, so a double free is caught
+    without scanning the list.
+    """
 
     def __init__(self, num_arch: int, num_phys: int) -> None:
         # Architectural register i starts mapped to physical register i.
         self.map: List[int] = list(range(num_arch))
         self.free: Deque[int] = deque(range(num_arch, num_phys))
+        self.is_free: List[bool] = [False] * num_arch + [True] * (num_phys - num_arch)
 
     @property
     def free_count(self) -> int:
@@ -97,6 +103,7 @@ class RenameMap:
                 raise SimulationError("rename called with empty free list")
             prev_phys = (dest.is_fp, regfile.map[dest.index])
             new_phys = regfile.free.popleft()
+            regfile.is_free[new_phys] = False
             regfile.map[dest.index] = new_phys
             dest_phys = (dest.is_fp, new_phys)
         return src_phys, dest_phys, prev_phys
@@ -107,6 +114,7 @@ class RenameMap:
             return
         is_fp, index = phys
         regfile = self._file(is_fp)
-        if index in regfile.free:
+        if regfile.is_free[index]:
             raise SimulationError(f"double free of physical register {index}")
+        regfile.is_free[index] = True
         regfile.free.append(index)

@@ -7,12 +7,26 @@ placement) lives in an :class:`InFlight` wrapper created at dispatch.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import FuType, OpClass
 
-__all__ = ["InFlight"]
+__all__ = ["InFlight", "issue_operands"]
+
+
+def issue_operands(op: OpClass, srcs: Sequence) -> Sequence:
+    """The sources that must be ready for an ``op`` instruction to issue.
+
+    Stores are split into address computation and data movement
+    (Section 3.1): they issue once the address operands are ready — by
+    trace convention ``srcs[0]`` is the data register and the rest are
+    address operands — and read their data at commit, which in-order
+    retirement guarantees is ready by then. ``srcs`` may be
+    architectural refs (LatFIFO's estimator runs before rename) or
+    renamed physical registers (:meth:`InFlight.set_sources`).
+    """
+    return srcs[1:] if op.is_store and len(srcs) > 1 else srcs
 
 
 class InFlight:
@@ -66,18 +80,10 @@ class InFlight:
 
     def set_sources(self, src_phys: List[Tuple[bool, int]]) -> None:
         """Record the renamed sources and the operands that must be ready
-        for the instruction to *issue* (``issue_srcs``).
-
-        Stores are split into address computation and data movement
-        (Section 3.1): they issue once the address operands are ready
-        — by trace convention ``srcs[0]`` is the data register and the
-        rest are address operands — and read their data at commit, which
-        in-order retirement guarantees is ready by then.
-        """
+        for the instruction to *issue* (``issue_srcs``, see
+        :func:`issue_operands`)."""
         self.src_phys = src_phys
-        self.issue_srcs = (
-            src_phys[1:] if self.op.is_store and len(src_phys) > 1 else src_phys
-        )
+        self.issue_srcs = issue_operands(self.op, src_phys)
 
     @property
     def issued(self) -> bool:

@@ -8,12 +8,27 @@ uneven cost — *mcf* at 2 MB working set vs *sixtrack* cache-resident)
 and returns results **in input order**, so parallel and serial campaigns
 produce identical result sequences.
 
-Traces are shared, not regenerated: when a spill directory is available
-(see :mod:`repro.workloads.spill`) the parent materializes each unique
-trace to disk once and workers deserialize it. Each worker resolves its
-traces through :func:`repro.experiments.runner.resolve_trace`, whose
-process memo keeps a loaded trace for the worker's later jobs. Traces
-are deterministic, so every path yields the same stream.
+Each batch forks a fresh pool, so a worker starts with what its parent
+holds and hands back what it learns:
+
+* Warm caches. A worker inherits the parent's memo of warmed cache
+  states (:mod:`repro.workloads.prewarm`) and restores a benchmark's
+  state instead of re-walking it. Each job's payload carries the states
+  its worker computed during that job; the parent files them in its
+  memo, so every later fork inherits them. The walks themselves stay in
+  the workers, and a server's batch threads do no simulation work.
+* Traces. When a spill directory is available (see
+  :mod:`repro.workloads.spill`) the parent writes each missing trace's
+  spill file once, and never reads an existing one; workers load the
+  files through :func:`repro.experiments.runner.resolve_trace`, whose
+  process memo keeps a loaded trace for the worker's later jobs. Traces
+  are not handed back yet: the benchmark's ``cold_pool`` workload
+  measures these spill loads, so handing traces back (and dropping the
+  spill files) waits for the benchmark to stop requiring them (ROADMAP
+  item 2).
+
+Traces and warm states are deterministic, so every path yields the same
+stream and the same caches.
 
 Every job runs :func:`repro.experiments.runner.execute_pair`, the same
 function the serial runner calls. Results cross the process boundary as
@@ -102,9 +117,11 @@ def _run_job(job: tuple) -> dict:
     # Imported here (not at module top) so the parent's import of this
     # module stays cheap and spawn-based workers re-import lazily.
     from repro.experiments.runner import execute_pair
+    from repro.workloads.prewarm import warm_state_keys, warm_states_since
 
     benchmark, scheme, scale, kernel, trace_dir, sampling = job
     metrics_before = obs.get_registry().snapshot()
+    warm_before = warm_state_keys()
     stats, sampled = execute_pair(
         benchmark,
         scheme,
@@ -118,6 +135,9 @@ def _run_job(job: tuple) -> dict:
         # Registry growth during this job only: the parent merges it so
         # counters and histograms come out identical to a serial run.
         "metrics": obs.get_registry().delta_since(metrics_before),
+        # Cache states this job warmed: the parent files them, so the
+        # workers it forks later restore them instead of re-walking.
+        "warm_states": warm_states_since(warm_before),
     }
     if sampled is not None:
         payload["sampled"] = sampled.to_dict()
@@ -141,8 +161,15 @@ def simulate_matrix(
     worker function, so both paths are byte-identical by construction.
     Any larger count runs even a single pair in a worker process, so
     concurrent callers (the server's batch threads) never contend for
-    this process's GIL. With ``trace_dir`` set, each unique trace is
-    materialized there once up front and shared by every worker.
+    this process's GIL.
+
+    Workers inherit this process's warm-cache memo, and the states they
+    warm come back in their payloads and join it, so later batches
+    restore them instead of re-walking. With ``trace_dir`` set, each
+    unique trace's spill file is written there up front unless it
+    exists; this process reads none of them, and every batch's workers
+    load their traces from them (traces are not handed back while the
+    benchmark's ``cold_pool`` workload measures spill loads).
 
     ``sampling`` (a :class:`~repro.sampling.plan.SamplingPlan`) switches
     every job to the sampled execution mode; the return value is then a
@@ -151,16 +178,17 @@ def simulate_matrix(
     :class:`SimulationStats`.
     """
     if trace_dir is not None:
-        from repro.workloads.spill import materialize_trace
+        from repro.workloads.spill import materialize_trace, trace_spill_path
         from repro.workloads.suites import get_profile
 
-        # Only the files are kept: workers load them through
-        # resolve_trace, and the parent's memo stays free of traces it
-        # never simulates.
+        # Only missing files are written, and none is read: workers load
+        # them through resolve_trace, and this process never simulates
+        # the traces, so decoding one here would be wasted.
         for benchmark in dict.fromkeys(benchmark for benchmark, __ in pairs):
-            materialize_trace(
-                trace_dir, get_profile(benchmark), scale.num_instructions, scale.seed
-            )
+            profile = get_profile(benchmark)
+            spill_args = (trace_dir, profile, scale.num_instructions, scale.seed)
+            if not trace_spill_path(*spill_args).exists():
+                materialize_trace(*spill_args)
     jobs = [
         (benchmark, scheme, scale, kernel, trace_dir, sampling)
         for benchmark, scheme in pairs
@@ -168,9 +196,10 @@ def simulate_matrix(
     if not jobs or workers <= 1:
         payloads = [_run_job(job) for job in jobs]
         # In-process execution already updated the metrics registry
-        # directly — merging would double-count.
+        # (merging would double-count) and the warm-cache memo directly.
         for payload in payloads:
             payload.pop("metrics", None)
+            payload.pop("warm_states", None)
     else:
         with multiprocessing.Pool(
             processes=min(workers, len(jobs)), initializer=_init_worker
@@ -178,11 +207,14 @@ def simulate_matrix(
             async_result = pool.map_async(_run_job, jobs, chunksize=1)
             pool.close()
             payloads = _drain_pool(pool, async_result, trace_dir)
+        from repro.workloads.prewarm import adopt_warm_states
+
         for payload in payloads:
             # Fold each worker's registry delta into the parent: counter
             # and histogram *content* is deterministic (cycle counts,
             # cache events), so the merged totals match a serial run.
             obs.get_registry().merge_delta(payload.pop("metrics", None))
+            adopt_warm_states(payload.pop("warm_states"))
     if sampling is not None:
         from repro.sampling.estimator import SampledStats
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.common.config import ProcessorConfig
+from repro.core.uop import issue_operands
 from repro.isa.instructions import Instruction
 from repro.isa.opcodes import OpClass, latency_for
 
@@ -58,10 +59,7 @@ class IssueTimeEstimator:
         exactly once per dispatched instruction, in program order.
         """
         issue = cycle + 1
-        # Stores issue their address computation; the data operand
-        # (srcs[0] by trace convention) does not gate issue.
-        srcs = inst.srcs[1:] if inst.op.is_store and len(inst.srcs) > 1 else inst.srcs
-        for ref in srcs:
+        for ref in issue_operands(inst.op, inst.srcs):
             operand = self.operand_cycle(ref)
             if operand > issue:
                 issue = operand

@@ -19,7 +19,7 @@ ratio.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Tuple
 
 from repro.common.config import stable_fingerprint
 from repro.common.rng import make_rng
@@ -27,7 +27,13 @@ from repro.memory.hierarchy import MemoryHierarchy
 from repro.workloads.generator import StaticProgram, build_static_program
 from repro.workloads.profiles import WorkloadProfile
 
-__all__ = ["prewarm", "clear_prewarm_cache"]
+__all__ = [
+    "prewarm",
+    "clear_prewarm_cache",
+    "warm_state_keys",
+    "warm_states_since",
+    "adopt_warm_states",
+]
 
 _SAMPLES_PER_LINE = 4  # random-region oversampling factor
 
@@ -35,12 +41,36 @@ _SAMPLES_PER_LINE = 4  # random-region oversampling factor
 #: campaign replays the same benchmark under many schemes, and the cache
 #: geometry is scheme-independent, so the (deterministic) warming walk
 #: runs once per benchmark per process; later calls restore the snapshot.
+#: Pool workers hand the states they compute back to the parent
+#: (:func:`warm_states_since`, :func:`adopt_warm_states`), so the
+#: workers it forks later inherit them.
 _WARM_STATE: Dict[Tuple, tuple] = {}
 
 
 def clear_prewarm_cache() -> None:
     """Drop memoized warm states (tests that count accesses use this)."""
     _WARM_STATE.clear()
+
+
+def warm_state_keys() -> FrozenSet[Tuple]:
+    """Keys of the memoized warm states, to pass to :func:`warm_states_since`."""
+    return frozenset(_WARM_STATE)
+
+
+def warm_states_since(keys: AbstractSet[Tuple]) -> Dict[Tuple, tuple]:
+    """The memoized warm states whose keys are not in ``keys``."""
+    # Iterate a copy: a prewarm in another thread may add an entry meanwhile.
+    items = list(_WARM_STATE.items())
+    return {key: state for key, state in items if key not in keys}
+
+
+def adopt_warm_states(states: Dict[Tuple, tuple]) -> None:
+    """File warm states another process computed into this process's memo.
+
+    A state is deterministic in its key, so an adopted state restores
+    exactly what the walk here would have built.
+    """
+    _WARM_STATE.update(states)
 
 
 def prewarm(

@@ -188,7 +188,13 @@ def load_trace(
 def materialize_trace(
     trace_dir: os.PathLike, profile: WorkloadProfile, num_instructions: int, seed: int
 ) -> Trace:
-    """Load the spilled trace, generating and spilling it if absent.
+    """Load the spilled trace, or generate it and write its spill file.
+
+    :func:`repro.experiments.parallel.simulate_matrix` calls this only
+    for a trace that has no spill file yet, so a pool's parent writes
+    each file once and never decodes one; the workers read the files
+    through :func:`load_trace`. Called where a file exists, this decodes
+    it, and a damaged or stale file is regenerated and rewritten.
 
     Safe under concurrent callers: the file is written through
     :func:`repro.experiments.store.atomic_write`, so racers at worst

@@ -199,6 +199,91 @@ class TestCacheLayers:
         assert other.cache_stats()["simulations"] == 1  # no false sharing
 
 
+class TestPoolHandBack:
+    """What pool workers inherit from their parent and hand back to it."""
+
+    PAIRS = [
+        ("gzip", IQ_64_64),
+        ("swim", IQ_64_64),
+        ("gzip", IF_DISTR),
+        ("swim", IF_DISTR),
+    ]
+
+    @pytest.fixture()
+    def prewarm_module(self, monkeypatch):
+        # The package re-exports the function ``prewarm`` under the
+        # module's name, so the module itself comes from importlib.
+        import importlib
+
+        module = importlib.import_module("repro.workloads.prewarm")
+        monkeypatch.setattr(module, "_WARM_STATE", {})
+        return module
+
+    @staticmethod
+    def warmed_profiles(module):
+        from repro.common.config import stable_fingerprint
+        from repro.workloads.suites import get_profile
+
+        names = {stable_fingerprint(get_profile(b)): b for b in ("gzip", "swim")}
+        return {names.get(key[0], key[0]) for key in module._WARM_STATE}
+
+    def test_parent_files_the_warm_states_its_workers_computed(
+        self, prewarm_module
+    ):
+        from repro.experiments import simulate_matrix
+
+        simulate_matrix(self.PAIRS, SMALL, workers=2)
+        assert self.warmed_profiles(prewarm_module) == {"gzip", "swim"}
+
+    def test_later_batches_restore_handed_back_states(
+        self, prewarm_module, monkeypatch
+    ):
+        from repro.experiments import simulate_matrix
+
+        serial = [s.to_dict() for s in simulate_matrix(self.PAIRS, SMALL, workers=0)]
+        # Forget the states the serial run walked: only the first pool
+        # batch can bring them back.
+        monkeypatch.setattr(prewarm_module, "_WARM_STATE", {})
+        simulate_matrix(self.PAIRS, SMALL, workers=2)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a worker re-walked a prewarm its parent held")
+
+        # Forked workers inherit the patch.
+        monkeypatch.setattr(prewarm_module, "build_static_program", no_walk)
+        pooled = simulate_matrix(self.PAIRS, SMALL, workers=2)
+        assert [s.to_dict() for s in pooled] == serial
+
+    def test_parent_never_decodes_an_existing_spill_file(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+
+        from repro.experiments import simulate_matrix
+        from repro.experiments import runner as runner_mod
+        from repro.workloads import spill
+        from repro.workloads.suites import get_profile
+
+        for benchmark in ("gzip", "swim"):
+            spill.materialize_trace(
+                tmp_path, get_profile(benchmark), SMALL.num_instructions, SMALL.seed
+            )
+        # Workers that inherit no trace must load the files.
+        monkeypatch.setattr(runner_mod, "_TRACE_MEMO", {})
+        parent = os.getpid()
+        real_decode = spill._decode_trace
+
+        def decode_in_workers_only(blob):
+            if os.getpid() == parent:
+                raise AssertionError("the parent decoded a spill file")
+            return real_decode(blob)
+
+        monkeypatch.setattr(spill, "_decode_trace", decode_in_workers_only)
+        pooled = simulate_matrix(self.PAIRS, SMALL, workers=2, trace_dir=str(tmp_path))
+        serial = simulate_matrix(self.PAIRS, SMALL, workers=0)
+        assert [s.to_dict() for s in pooled] == [s.to_dict() for s in serial]
+
+
 class TestFigureGenerators:
     """Figure functions on a reduced benchmark set (monkeypatched suites)
     so the full test suite stays fast; the benchmarks/ harness runs the

@@ -349,15 +349,22 @@ class TestExecutePair:
         assert detailed + ffwd == scale.num_instructions
 
     def test_pool_job_ships_stats_and_its_registry_delta(self, monkeypatch):
+        import importlib
+
         from repro.experiments import IF_DISTR, parallel, runner
         from repro.experiments.runner import simulate_pair
 
+        prewarm_module = importlib.import_module("repro.workloads.prewarm")
         monkeypatch.setattr(runner, "_TRACE_MEMO", {})
+        monkeypatch.setattr(prewarm_module, "_WARM_STATE", {})
         obs.counter("repro_unrelated_total").inc()  # before the job: not shipped
         payload = parallel._run_job(
             ("gzip", IF_DISTR, self._scale(), "skip", None, None)
         )
-        assert set(payload) == {"stats", "metrics"}
+        assert set(payload) == {"stats", "metrics", "warm_states"}
+        # The job warmed gzip's caches, and it ships exactly that state.
+        assert len(payload["warm_states"]) == 1
+        assert payload["warm_states"] == prewarm_module._WARM_STATE
         reference, __, telemetry = simulate_pair(
             "gzip", IF_DISTR, self._scale(), kernel="skip"
         )
