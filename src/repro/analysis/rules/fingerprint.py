@@ -7,6 +7,11 @@ or misspelled, so a typo quietly re-includes (or never excludes) a
 field and either poisons cache keys or aliases distinct configs.  This
 rule makes the exclusion list, the dataclass decorator, and the
 JSON-stability of every field machine-checked.
+
+``stable_fingerprint`` also caches its rendering on a frozen instance,
+which is sound only while the instance is deeply immutable, so the rule
+also requires ``@dataclass(frozen=True)`` and rejects fields annotated
+with a mutable container.
 """
 
 from __future__ import annotations
@@ -57,12 +62,28 @@ UNSTABLE_ANNOTATIONS = frozenset(
 )
 
 
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
+# Annotations of containers that can change in place: a cached
+# fingerprint of an instance holding one could go stale.
+MUTABLE_ANNOTATIONS = frozenset(
+    {"Dict", "List", "MutableMapping", "MutableSequence", "dict", "list"}
+)
+
+
+def _dataclass_decorator(node: ast.ClassDef) -> Optional[ast.expr]:
     for dec in node.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
         if terminal_name(target) == "dataclass":
-            return True
-    return False
+            return dec
+    return None
+
+
+def _is_frozen(decorator: ast.expr) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        kw.arg == "frozen"
+        and isinstance(kw.value, ast.Constant)
+        and kw.value.value is True
+        for kw in decorator.keywords
+    )
 
 
 def _field_names(node: ast.ClassDef) -> Set[str]:
@@ -85,13 +106,15 @@ def _exclude_assignment(node: ast.ClassDef) -> Optional[ast.Assign]:
 class FingerprintCompletenessRule(Rule):
     id = "fingerprint-completeness"
     summary = (
-        "cache-key dataclasses: every field JSON-stable, every "
-        "_FINGERPRINT_EXCLUDE entry a real declared field"
+        "cache-key dataclasses: frozen, every field JSON-stable and "
+        "immutable, every _FINGERPRINT_EXCLUDE entry a real declared field"
     )
     rationale = (
         "stable_fingerprint drops excluded fields with a silent "
         "dict.pop — a stale name re-includes the field and corrupts "
-        "content-addressed cache keys without any runtime signal."
+        "content-addressed cache keys without any runtime signal — and "
+        "caches each frozen instance's rendering, which an in-place "
+        "change would leave stale."
     )
 
     def check(self, source: SourceFile, project: Project) -> List[Finding]:
@@ -120,7 +143,8 @@ class FingerprintCompletenessRule(Rule):
         self, source: SourceFile, node: ast.ClassDef, project: Project
     ) -> List[Finding]:
         findings: List[Finding] = []
-        if not _is_dataclass_decorated(node):
+        decorator = _dataclass_decorator(node)
+        if decorator is None:
             findings.append(
                 self.finding(
                     source,
@@ -134,6 +158,20 @@ class FingerprintCompletenessRule(Rule):
                 )
             )
             return findings
+        if not _is_frozen(decorator):
+            findings.append(
+                self.finding(
+                    source,
+                    node,
+                    (
+                        f"{node.name} is fingerprinted for cache keys but is "
+                        f"not @dataclass(frozen=True) — a fingerprint taken "
+                        f"before a field assignment would address the old "
+                        f"content"
+                    ),
+                    symbol=node.name,
+                )
+            )
 
         # Fields visible to asdict(): own plus resolvable bases'.
         all_fields = _field_names(node)
@@ -180,25 +218,42 @@ class FingerprintCompletenessRule(Rule):
                 item.target, ast.Name
             ):
                 continue
-            bad = _unstable_annotation(item.annotation)
+            symbol = f"{node.name}.{item.target.id}"
+            bad = _annotation_token(item.annotation, UNSTABLE_ANNOTATIONS)
             if bad is not None:
                 findings.append(
                     self.finding(
                         source,
                         item,
                         (
-                            f"field '{node.name}.{item.target.id}' is "
+                            f"field '{symbol}' is "
                             f"annotated with '{bad}', whose canonical JSON "
                             f"is not stable — cache keys built from it are "
                             f"not reproducible"
                         ),
-                        symbol=f"{node.name}.{item.target.id}",
+                        symbol=symbol,
+                    )
+                )
+            mutable = _annotation_token(item.annotation, MUTABLE_ANNOTATIONS)
+            if mutable is not None:
+                findings.append(
+                    self.finding(
+                        source,
+                        item,
+                        (
+                            f"field '{symbol}' is annotated with '{mutable}', "
+                            f"a mutable container — changed in place, it "
+                            f"would leave the instance's cached fingerprint "
+                            f"stale; use a tuple or a frozen dataclass"
+                        ),
+                        symbol=symbol,
                     )
                 )
         return findings
 
 
-def _unstable_annotation(annotation: ast.AST) -> Optional[str]:
+def _annotation_token(annotation: ast.AST, names: frozenset) -> Optional[str]:
+    """The first name of ``names`` that ``annotation`` mentions, if any."""
     for node in ast.walk(annotation):
         name: Optional[str] = None
         if isinstance(node, ast.Name):
@@ -207,8 +262,8 @@ def _unstable_annotation(annotation: ast.AST) -> Optional[str]:
             name = node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             # String annotation fragment: match bare forbidden tokens.
-            if node.value in UNSTABLE_ANNOTATIONS:
+            if node.value in names:
                 name = node.value
-        if name in UNSTABLE_ANNOTATIONS:
+        if name in names:
             return name
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.common.errors import ConfigurationError
 
@@ -30,6 +30,10 @@ __all__ = [
     "stable_fingerprint",
 ]
 
+#: ``__dict__`` slot of a frozen instance's cached fingerprint; not a
+#: field, so ``asdict``, ``==``, ``hash`` and ``repr`` never see it.
+_FINGERPRINT_ATTR = "_stable_fingerprint"
+
 
 def stable_fingerprint(obj) -> str:
     """Canonical JSON rendering of a (possibly nested) config dataclass.
@@ -43,13 +47,29 @@ def stable_fingerprint(obj) -> str:
     out: they select an execution strategy (e.g. the simulation kernel)
     whose results are bit-identical by contract, so they must not split
     the content-addressed result cache.
+
+    A frozen dataclass is rendered once: the string is stored in the
+    instance's ``__dict__`` (past the frozen ``__setattr__``, as
+    :func:`functools.cached_property` does) and returned by later calls.
+    That is sound only while the instance is deeply immutable, which the
+    ``fingerprint-completeness`` analysis rule checks for every
+    fingerprinted class: frozen, with no mutable-container field. A
+    non-frozen dataclass, or one with ``__slots__`` and so no
+    ``__dict__``, is rendered afresh on every call.
     """
     if not is_dataclass(obj):
         raise TypeError(f"can only fingerprint dataclasses, got {type(obj).__name__}")
+    instance_dict = getattr(obj, "__dict__", {})
+    cached = instance_dict.get(_FINGERPRINT_ATTR)
+    if cached is not None:
+        return cached
     payload = {"__type__": type(obj).__name__, **asdict(obj)}
     for name in getattr(type(obj), "_FINGERPRINT_EXCLUDE", ()):
         payload.pop(name, None)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    rendered = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if obj.__dataclass_params__.frozen:
+        instance_dict[_FINGERPRINT_ATTR] = rendered
+    return rendered
 
 
 class _Fingerprinted:
@@ -373,10 +393,32 @@ class ProcessorConfig(_Fingerprinted):
         return replace(self, kernel=kernel)
 
 
+#: Validated Table 1 configs, keyed by their scheme's fingerprint ("" for
+#: the default scheme). See :func:`default_config` for why and its bound.
+_TABLE1_CONFIGS: Dict[str, ProcessorConfig] = {}
+
+
 def default_config(scheme: Optional[IssueSchemeConfig] = None) -> ProcessorConfig:
-    """Return the Table 1 configuration, optionally with a given scheme."""
-    cfg = ProcessorConfig()
-    if scheme is not None:
-        cfg = cfg.with_scheme(scheme)
-    cfg.validate()
+    """Return the Table 1 configuration, optionally with a given scheme.
+
+    One validated config is built per scheme *content* and shared by
+    every later call: configs are frozen, so sharing is safe, and a warm
+    replay asks for the same few schemes hundreds of times. The memo is
+    keyed by ``stable_fingerprint(scheme)``, never by ``==`` or hash:
+    ``int_queues=8`` and ``8.0``, or ``distributed_fus=True`` and ``1``,
+    compare equal but render (and so key results) differently. A scheme
+    that fails validation raises and is not stored. The memo holds one
+    entry per distinct scheme content passed here, for the life of the
+    process: 28 for the whole figure campaign (the server accepts only
+    those by name; exploration and discovery build full
+    :class:`ProcessorConfig` objects and never call this).
+    """
+    key = "" if scheme is None else stable_fingerprint(scheme)
+    cfg = _TABLE1_CONFIGS.get(key)
+    if cfg is None:
+        cfg = ProcessorConfig()
+        if scheme is not None:
+            cfg = cfg.with_scheme(scheme)
+        cfg.validate()
+        _TABLE1_CONFIGS[key] = cfg
     return cfg

@@ -166,6 +166,12 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
+        # Repeat requests, ``(name, *labels as passed)`` (histograms add
+        # their buckets after the name), to the handle a miss resolved.
+        # The series key stays the identity: it is computed on a miss,
+        # under the lock, where these are filled.
+        self._counter_handles: Dict[tuple, Counter] = {}
+        self._histogram_handles: Dict[tuple, Histogram] = {}
 
     # -- metric handles ------------------------------------------------
 
@@ -173,13 +179,28 @@ class MetricsRegistry:
     def _labelled(labels: Dict[str, object]) -> Dict[str, str]:
         return {str(k): str(v) for k, v in labels.items()}
 
+    @staticmethod
+    def _reusable(labels: Dict[str, object]) -> bool:
+        """Whether a request may be answered by its ``==``-equal repeat.
+
+        Only all-``str`` labels qualify: ``1``, ``1.0`` and ``True``
+        compare equal yet name three series.
+        """
+        return all(type(v) is str for v in labels.values())
+
     def counter(self, name: str, **labels: object) -> Counter:
+        request = (name, *labels.items())
+        metric = self._counter_handles.get(request)
+        if metric is not None:
+            return metric
         labelled = self._labelled(labels)
         key = _series_key(name, labelled)
         with self._lock:
             metric = self._counters.get(key)
             if metric is None:
                 metric = self._counters[key] = Counter(name, labelled)
+            if self._reusable(labels):
+                self._counter_handles[request] = metric
         return metric
 
     def gauge(self, name: str, **labels: object) -> Gauge:
@@ -197,6 +218,10 @@ class MetricsRegistry:
         buckets: Tuple[float, ...] = SECONDS_BUCKETS,
         **labels: object,
     ) -> Histogram:
+        request = (name, buckets, *labels.items())
+        metric = self._histogram_handles.get(request)
+        if metric is not None:
+            return metric
         labelled = self._labelled(labels)
         key = _series_key(name, labelled)
         with self._lock:
@@ -205,8 +230,10 @@ class MetricsRegistry:
                 metric = self._histograms[key] = Histogram(
                     name, labelled, buckets
                 )
-        if metric.buckets != tuple(float(b) for b in buckets):
-            raise ValueError(f"histogram {name}: conflicting bucket bounds")
+            if metric.buckets != tuple(float(b) for b in buckets):
+                raise ValueError(f"histogram {name}: conflicting bucket bounds")
+            if self._reusable(labels):
+                self._histogram_handles[request] = metric
         return metric
 
     # -- snapshots, deltas, merges ------------------------------------
@@ -287,6 +314,8 @@ class MetricsRegistry:
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()
+            self._counter_handles.clear()
+            self._histogram_handles.clear()
 
     # -- rendering -----------------------------------------------------
 

@@ -162,6 +162,18 @@ class TestRuleSpecifics:
         )
         assert report.findings == []
 
+    def test_fingerprint_rule_requires_deep_immutability(self):
+        # stable_fingerprint caches its rendering on the instance, so a
+        # fingerprinted class that can change after the first call is a
+        # finding: not frozen, or holding a mutable container.
+        fixture = fixture_for("fingerprint-completeness")
+        report = run_analysis(
+            [fixture], base=FIXTURES, rules=resolve_rules(["fingerprint-completeness"])
+        )
+        by_symbol = {f.symbol: f.message for f in report.findings}
+        assert "frozen=True" in by_symbol["ThawedConfig"]
+        assert "'List', a mutable container" in by_symbol["BadConfig.sizes"]
+
     def test_async_rule_ignores_calls_routed_through_shims(self, tmp_path):
         (tmp_path / "ok.py").write_text(
             "# repro-fixture-module: repro.serve.ok_fx\n"

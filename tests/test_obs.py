@@ -20,6 +20,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.obs import metrics as metrics_module
 from repro.obs.metrics import MetricsRegistry
 
 pytestmark = pytest.mark.usefixtures("fresh_registry")
@@ -126,6 +127,88 @@ class TestMetricsRegistry:
         assert obs.counter(
             "repro_kernel_skipped_cycles_total", kernel="skip"
         ).value == 90
+
+
+class TestMetricHandles:
+    """Repeat requests reuse the handle a miss resolved; series keys stay
+    the identity of every snapshot, delta and merge."""
+
+    def test_repeat_request_derives_no_series_key(self, monkeypatch):
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_x_total", store="results")
+        hist = registry.histogram("repro_x_seconds", buckets=(1, 10), span="s")
+
+        def no_key(*args):
+            raise AssertionError("series key derived for a repeat request")
+
+        monkeypatch.setattr(metrics_module, "_series_key", no_key)
+        assert registry.counter("repro_x_total", store="results") is counter
+        assert registry.histogram(
+            "repro_x_seconds", buckets=(1, 10), span="s"
+        ) is hist
+
+    def test_labels_reach_the_series_their_text_names(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_x_total", figure=9).inc()
+        registry.counter("repro_x_total", figure="9").inc(2)
+        registry.counter("repro_x_total", figure=9).inc(4)
+        # Equal as values, three series as text.
+        registry.counter("repro_y_total", flag=True).inc()
+        registry.counter("repro_y_total", flag=1).inc(10)
+        registry.counter("repro_y_total", flag=1.0).inc(100)
+        assert registry.snapshot()["counters"] == {
+            '["repro_x_total",[["figure","9"]]]': 7,
+            '["repro_y_total",[["flag","1"]]]': 10,
+            '["repro_y_total",[["flag","1.0"]]]': 100,
+            '["repro_y_total",[["flag","True"]]]': 1,
+        }
+
+    def test_reset_forgets_handles(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_x_total").inc(3)
+        registry.histogram("repro_x_seconds").observe(1.0)
+        registry.reset()
+        counter = registry.counter("repro_x_total")
+        assert counter.value == 0
+        counter.inc()
+        registry.histogram("repro_x_seconds").observe(2.0)
+        snap = registry.snapshot()
+        assert snap["counters"] == {'["repro_x_total",[]]': 1}
+        assert snap["histograms"]['["repro_x_seconds",[]]']["count"] == 1
+
+    def test_set_registry_keeps_registries_apart(self):
+        first = obs.get_registry()
+        obs.counter("repro_x_total").inc()
+        second = MetricsRegistry()
+        previous = obs.set_registry(second)
+        try:
+            obs.counter("repro_x_total").inc(5)
+        finally:
+            obs.set_registry(previous)
+        assert first.counter("repro_x_total").value == 1
+        assert second.counter("repro_x_total").value == 5
+
+    def test_merge_delta_folds_into_the_reused_handle(self):
+        worker = MetricsRegistry()
+        worker.counter("repro_x_total", k="v").inc(3)
+        worker.histogram("repro_x_seconds", buckets=(10,), span="s").observe(4)
+        delta = worker.delta_since({})
+        parent = MetricsRegistry()
+        counter = parent.counter("repro_x_total", k="v")
+        hist = parent.histogram("repro_x_seconds", buckets=(10,), span="s")
+        parent.merge_delta(delta)
+        parent.merge_delta(delta)
+        assert parent.counter("repro_x_total", k="v") is counter
+        assert counter.value == 6
+        assert hist.counts == [2, 0]
+
+    def test_conflicting_buckets_raise_on_every_request(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("repro_x_seconds", buckets=(1, 10))
+        for __ in range(2):
+            with pytest.raises(ValueError):
+                registry.histogram("repro_x_seconds", buckets=(2, 20))
+        assert registry.histogram("repro_x_seconds", buckets=(1.0, 10.0)) is hist
 
 
 def _kernel_series(registry):
