@@ -21,14 +21,13 @@ import platform
 import time
 
 from repro import obs
-from repro.common.config import VALID_KERNELS
-from repro.core.engine import KernelTelemetry
+from repro.core.engine import VALID_KERNELS, KernelTelemetry
 from repro.experiments import figures as fig_mod
 from repro.experiments.runner import ExperimentRunner, RunScale, resolve_trace
 from repro.workloads.prewarm import clear_prewarm_cache
 
 #: naive first: it is the bit-identity reference for everything after it.
-SMOKE_KERNELS = tuple(VALID_KERNELS)
+SMOKE_KERNELS = VALID_KERNELS
 
 
 def run_smoke(figure: int, scale_instructions: int) -> dict:

@@ -1,23 +1,16 @@
 """Fingerprint completeness for cache-key dataclasses.
 
-``stable_fingerprint`` canonicalizes a config dataclass to sorted JSON
-and drops fields named in ``_FINGERPRINT_EXCLUDE`` via
-``payload.pop(name, None)`` — which is *silent* when the name is stale
-or misspelled, so a typo quietly re-includes (or never excludes) a
-field and either poisons cache keys or aliases distinct configs.  This
-rule makes the exclusion list, the dataclass decorator, and the
-JSON-stability of every field machine-checked.
-
-``stable_fingerprint`` also caches its rendering on a frozen instance,
-which is sound only while the instance is deeply immutable, so the rule
-also requires ``@dataclass(frozen=True)`` and rejects fields annotated
-with a mutable container.
+``stable_fingerprint`` canonicalizes every field of a config dataclass
+to sorted JSON and caches that rendering on a frozen instance. Both are
+sound only for a frozen dataclass whose fields render stably and cannot
+change in place, so this rule requires ``@dataclass(frozen=True)`` and
+rejects fields annotated with an unstable type or a mutable container.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.analysis.framework import (
     Finding,
@@ -40,7 +33,6 @@ FINGERPRINTED_ROOTS = frozenset(
 )
 
 MIXIN = "_Fingerprinted"
-EXCLUDE_ATTR = "_FINGERPRINT_EXCLUDE"
 
 # Annotations whose canonical JSON is unstable (unordered, identity-
 # based, or unserializable) — they have no business in a cache key.
@@ -86,34 +78,16 @@ def _is_frozen(decorator: ast.expr) -> bool:
     )
 
 
-def _field_names(node: ast.ClassDef) -> Set[str]:
-    return {
-        item.target.id
-        for item in node.body
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
-    }
-
-
-def _exclude_assignment(node: ast.ClassDef) -> Optional[ast.Assign]:
-    for item in node.body:
-        if isinstance(item, ast.Assign):
-            for target in item.targets:
-                if isinstance(target, ast.Name) and target.id == EXCLUDE_ATTR:
-                    return item
-    return None
-
-
 class FingerprintCompletenessRule(Rule):
     id = "fingerprint-completeness"
     summary = (
         "cache-key dataclasses: frozen, every field JSON-stable and "
-        "immutable, every _FINGERPRINT_EXCLUDE entry a real declared field"
+        "immutable"
     )
     rationale = (
-        "stable_fingerprint drops excluded fields with a silent "
-        "dict.pop — a stale name re-includes the field and corrupts "
-        "content-addressed cache keys without any runtime signal — and "
-        "caches each frozen instance's rendering, which an in-place "
+        "stable_fingerprint renders every field into content-addressed "
+        "cache keys — an unstable rendering makes keys irreproducible — "
+        "and caches each frozen instance's rendering, which an in-place "
         "change would leave stale."
     )
 
@@ -127,21 +101,17 @@ class FingerprintCompletenessRule(Rule):
                 continue
             if not self._is_fingerprinted(node, project):
                 continue
-            findings.extend(self._check_class(source, node, project))
+            findings.extend(self._check_class(source, node))
         return findings
 
     def _is_fingerprinted(self, node: ast.ClassDef, project: Project) -> bool:
         if node.name in FINGERPRINTED_ROOTS:
             return True
-        if _exclude_assignment(node) is not None:
-            return True
         return any(
             info.name == MIXIN for info in project.resolve_mro(node.name)
         )
 
-    def _check_class(
-        self, source: SourceFile, node: ast.ClassDef, project: Project
-    ) -> List[Finding]:
+    def _check_class(self, source: SourceFile, node: ast.ClassDef) -> List[Finding]:
         findings: List[Finding] = []
         decorator = _dataclass_decorator(node)
         if decorator is None:
@@ -172,46 +142,6 @@ class FingerprintCompletenessRule(Rule):
                     symbol=node.name,
                 )
             )
-
-        # Fields visible to asdict(): own plus resolvable bases'.
-        all_fields = _field_names(node)
-        for info in project.resolve_mro(node.name):
-            all_fields |= _field_names(info.node)
-
-        exclude = _exclude_assignment(node)
-        if exclude is not None:
-            value = exclude.value
-            if not isinstance(value, (ast.Tuple, ast.List)) or not all(
-                isinstance(el, ast.Constant) and isinstance(el.value, str)
-                for el in value.elts
-            ):
-                findings.append(
-                    self.finding(
-                        source,
-                        exclude,
-                        (
-                            f"{node.name}.{EXCLUDE_ATTR} must be a literal "
-                            f"tuple of field-name strings"
-                        ),
-                        symbol=f"{node.name}.{EXCLUDE_ATTR}",
-                    )
-                )
-            else:
-                for el in value.elts:
-                    if el.value not in all_fields:
-                        findings.append(
-                            self.finding(
-                                source,
-                                el,
-                                (
-                                    f"{EXCLUDE_ATTR} names '{el.value}' which "
-                                    f"is not a declared field of {node.name} — "
-                                    f"the silent dict.pop hides the typo and "
-                                    f"the field stays in the cache key"
-                                ),
-                                symbol=f"{node.name}.{EXCLUDE_ATTR}",
-                            )
-                        )
 
         for item in node.body:
             if not isinstance(item, ast.AnnAssign) or not isinstance(

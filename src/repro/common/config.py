@@ -21,10 +21,6 @@ __all__ = [
     "FunctionalUnitConfig",
     "IssueSchemeConfig",
     "ProcessorConfig",
-    "KERNEL_NAIVE",
-    "KERNEL_SKIP",
-    "KERNEL_SPECIALIZED",
-    "VALID_KERNELS",
     "default_config",
     "scheme_name",
     "stable_fingerprint",
@@ -43,11 +39,6 @@ def stable_fingerprint(obj) -> str:
     versions. Every config field is a str/int/float/bool/None, which JSON
     renders deterministically.
 
-    Fields named in the class's ``_FINGERPRINT_EXCLUDE`` tuple are left
-    out: they select an execution strategy (e.g. the simulation kernel)
-    whose results are bit-identical by contract, so they must not split
-    the content-addressed result cache.
-
     A frozen dataclass is rendered once: the string is stored in the
     instance's ``__dict__`` (past the frozen ``__setattr__``, as
     :func:`functools.cached_property` does) and returned by later calls.
@@ -64,8 +55,6 @@ def stable_fingerprint(obj) -> str:
     if cached is not None:
         return cached
     payload = {"__type__": type(obj).__name__, **asdict(obj)}
-    for name in getattr(type(obj), "_FINGERPRINT_EXCLUDE", ()):
-        payload.pop(name, None)
     rendered = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if obj.__dataclass_params__.frozen:
         instance_dict[_FINGERPRINT_ATTR] = rendered
@@ -211,16 +200,6 @@ class FunctionalUnitConfig(_Fingerprinted):
             raise ConfigurationError("all latencies must be >= 1 cycle")
 
 
-# Simulation-kernel constants (see repro.core.engine and repro.backends).
-# The kernel is an execution strategy, not simulated behaviour: every
-# kernel must produce bit-identical SimulationStats for every input.
-# ``naive``/``skip`` are the built-in engine loops; ``specialized`` runs
-# a per-config generated kernel from :mod:`repro.backends`.
-KERNEL_NAIVE = "naive"
-KERNEL_SKIP = "skip"
-KERNEL_SPECIALIZED = "specialized"
-VALID_KERNELS = (KERNEL_NAIVE, KERNEL_SKIP, KERNEL_SPECIALIZED)
-
 # Scheme kind constants (strings keep configs printable and hashable).
 SCHEME_CONVENTIONAL = "conventional"
 SCHEME_ISSUEFIFO = "issuefifo"
@@ -340,14 +319,6 @@ class ProcessorConfig(_Fingerprinted):
     fus: FunctionalUnitConfig = field(default_factory=FunctionalUnitConfig)
     scheme: IssueSchemeConfig = field(default_factory=IssueSchemeConfig)
     technology_um: float = 0.10
-    #: Simulation kernel: "skip" (event-driven cycle skipping, the
-    #: default) or "naive" (tick every cycle). Both are bit-identical in
-    #: every reported statistic — the knob only trades wall-clock time —
-    #: so the field is excluded from cache fingerprints below.
-    kernel: str = KERNEL_SKIP
-
-    # Execution-strategy fields that must not split the result cache.
-    _FINGERPRINT_EXCLUDE = ("kernel",)
 
     def validate(self) -> None:
         """Validate every nested configuration object."""
@@ -370,10 +341,6 @@ class ProcessorConfig(_Fingerprinted):
             raise ConfigurationError("need more FP physical than architectural registers")
         if self.mispredict_redirect_penalty < 0:
             raise ConfigurationError("redirect penalty cannot be negative")
-        if self.kernel not in VALID_KERNELS:
-            raise ConfigurationError(
-                f"unknown simulation kernel {self.kernel!r}; valid: {VALID_KERNELS}"
-            )
         if not 0.01 <= self.technology_um <= 1.0:
             raise ConfigurationError("technology node out of supported range")
         self.icache.validate()
@@ -387,10 +354,6 @@ class ProcessorConfig(_Fingerprinted):
     def with_scheme(self, scheme: IssueSchemeConfig) -> "ProcessorConfig":
         """Return a copy of this config with a different issue scheme."""
         return replace(self, scheme=scheme)
-
-    def with_kernel(self, kernel: str) -> "ProcessorConfig":
-        """Return a copy of this config with a different simulation kernel."""
-        return replace(self, kernel=kernel)
 
 
 #: Validated Table 1 configs, keyed by their scheme's fingerprint ("" for

@@ -55,18 +55,13 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.common import faults
-from repro.common.config import (
-    KERNEL_NAIVE,
-    KERNEL_SKIP,
-    KERNEL_SPECIALIZED,
-    VALID_KERNELS,
-)
 from repro.common.errors import SimulationError
 
 __all__ = [
     "KernelTelemetry",
     "KERNEL_NAIVE",
     "KERNEL_SKIP",
+    "KERNEL_SPECIALIZED",
     "VALID_KERNELS",
     "run_kernel",
     "run_naive",
@@ -204,12 +199,16 @@ def run_specialized(processor, total: int, max_cycles: int,
                         step=module.make_step(processor))
 
 
+KERNEL_NAIVE = "naive"
+KERNEL_SKIP = "skip"
+KERNEL_SPECIALIZED = "specialized"
+
 _KERNELS = {
     KERNEL_NAIVE: run_naive,
     KERNEL_SKIP: run_skipping,
     KERNEL_SPECIALIZED: run_specialized,
 }
-"""Every simulation kernel, by ``ProcessorConfig.kernel`` name.
+"""Every simulation kernel, by the name ``Processor.run(kernel=)`` takes.
 
 The contract each kernel keeps:
 
@@ -227,11 +226,14 @@ The contract each kernel keeps:
 * A kernel touches only state private to the processor it is handed:
   warm states restored before ``Processor.run`` (sampled slices) and
   prewarm memoization touch the memory hierarchy and predictor only.
-* Kernel names validate through ``ProcessorConfig.kernel`` and stay out
-  of cache fingerprints; the kernel sources (this module and
-  :mod:`repro.backends`) hash into ``SIMULATOR_VERSION_TAG``, so editing
-  a kernel invalidates cached results.
+* Kernel names are validated in :func:`run_kernel` and are no part of
+  any config, so no cache key holds one; the kernel sources (this
+  module and :mod:`repro.backends`) hash into ``SIMULATOR_VERSION_TAG``,
+  so editing a kernel invalidates cached results.
 """
+
+#: Every kernel name, ``naive`` (the bit-identity reference) first.
+VALID_KERNELS = tuple(_KERNELS)
 
 
 def run_sampled(
@@ -242,6 +244,7 @@ def run_sampled(
     measure_end: int,
     profile=None,
     prewarm_seed=None,
+    kernel: str = KERNEL_SKIP,
 ):
     """Sampled execution mode: fast-forward between detailed slices.
 
@@ -254,9 +257,10 @@ def run_sampled(
     trace in memory to each slice start; warm states are never persisted.
 
     ``[measure_begin, measure_end)`` is the committed-instruction region
-    the estimates must cover (the full run's post-warm-up portion).
-    Returns ``(windows, slice_stats, telemetry)``: the detailed windows,
-    one :class:`~repro.common.stats.SimulationStats` per slice, and the
+    the estimates must cover (the full run's post-warm-up portion), and
+    ``kernel`` simulates each detailed slice. Returns
+    ``(windows, slice_stats, telemetry)``: the detailed windows, one
+    :class:`~repro.common.stats.SimulationStats` per slice, and the
     merged :class:`KernelTelemetry` of the detailed windows only — the
     honest count of cycles that were actually simulated.
 
@@ -295,7 +299,9 @@ def run_sampled(
         processor.predictor.restore_state(state.predictor)
         slices.append(
             processor.run(
-                warmup_instructions=window.warmup, total_instructions=stop
+                warmup_instructions=window.warmup,
+                kernel=kernel,
+                total_instructions=stop,
             )
         )
         detailed.merge(processor.kernel_telemetry)

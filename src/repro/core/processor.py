@@ -313,9 +313,9 @@ class Processor:
     # ------------------------------------------------------------------
     def run(
         self,
-        max_cycles: Optional[int] = None,
+        *,
         warmup_instructions: int = 0,
-        kernel: Optional[str] = None,
+        kernel: str = engine.KERNEL_SKIP,
         total_instructions: Optional[int] = None,
     ) -> SimulationStats:
         """Simulate until the whole trace commits; returns the stats.
@@ -325,9 +325,9 @@ class Processor:
         queues stay warm across the boundary) — the software analogue of
         the paper's "after skipping the initialization part".
 
-        ``kernel`` selects the simulation loop (``"naive"`` or
-        ``"skip"``, default: the config's ``kernel`` field). Both kernels
-        produce bit-identical statistics; only wall-clock time differs.
+        ``kernel`` names the simulation loop, one of
+        :data:`repro.core.engine.VALID_KERNELS`. Every kernel produces
+        bit-identical statistics; only wall-clock time differs.
 
         ``total_instructions`` stops the run *mid-flight* once that many
         instructions have committed, leaving younger trace instructions
@@ -346,10 +346,7 @@ class Processor:
             total = total_instructions
         if warmup_instructions >= total:
             raise SimulationError("warmup must be shorter than the trace")
-        if max_cycles is None:
-            max_cycles = 400 * total + 100_000
-        if kernel is None:
-            kernel = self.config.kernel
+        max_cycles = 400 * total + 100_000
         return engine.run_kernel(self, kernel, total, max_cycles, warmup_instructions)
 
     def _snapshot(self, cycle: int, committed: int) -> dict:

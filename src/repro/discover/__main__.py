@@ -27,7 +27,7 @@ from repro.common import faults
 from repro.common.errors import ConfigurationError
 from repro.discover.campaign import DiscoverySettings, run_discovery
 from repro.discover.oracles import ORACLES, resolve_oracles
-from repro.experiments.store import ResultStore, default_cache_dir
+from repro.experiments.store import ResultStore
 from repro.explore.artifacts import write_json
 
 __all__ = ["main", "build_parser"]
@@ -147,13 +147,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 faults.activate([args.inject])
             except ConfigurationError as exc:
                 parser.error(str(exc))
-        store = (
-            False
-            if args.no_cache
-            else ResultStore(
-                Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-            )
-        )
+        store = False if args.no_cache else ResultStore(args.cache_dir or None)
         armed = faults.active_faults()
         if armed:
             print(f"armed fault(s): {', '.join(armed)}")

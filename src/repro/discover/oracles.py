@@ -9,10 +9,10 @@ plus workload, see :class:`~repro.explore.space.DesignPoint`) at one
   is bit-identical *by contract* — naive vs. each other registered
   kernel (skip and specialized), serial vs.
   multiprocessing execution — and diff the full statistics.
-  Each leg runs under its own cache-key salt: the processor fingerprint
-  deliberately excludes the kernel (the contract says it cannot
-  matter), so an unsalted differential would serve the first leg's
-  cache entry for the second and be structurally unable to disagree.
+  Each leg runs under its own cache-key salt: no key holds the kernel
+  (the contract says it cannot matter), so an unsalted differential
+  would serve the first leg's cache entry for the second and be
+  structurally unable to disagree.
 * **Invariant** oracles run a point once and check properties every
   honest result must satisfy: structural bounds on a full run's
   statistics (:func:`check_invariants`) and record-level contracts of a
@@ -37,9 +37,9 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.config import KERNEL_NAIVE, VALID_KERNELS
 from repro.common.errors import ConfigurationError
 from repro.common.stats import SimulationStats
+from repro.core.engine import KERNEL_NAIVE, VALID_KERNELS
 from repro.experiments.runner import RunScale
 from repro.sampling.estimator import (
     ESTIMATED_METRICS,

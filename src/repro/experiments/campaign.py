@@ -74,7 +74,7 @@ import json
 from typing import Callable, Dict, List
 
 from repro import obs
-from repro.common.config import VALID_KERNELS, scheme_name
+from repro.common.config import scheme_name
 from repro.common.errors import ConfigurationError
 from repro.core import engine
 from repro.experiments import figures as fig_mod
@@ -86,7 +86,7 @@ from repro.experiments.report import (
     render_table,
 )
 from repro.experiments.runner import ExperimentRunner, RunScale
-from repro.experiments.store import ResultStore, default_cache_dir
+from repro.experiments.store import ResultStore
 from repro.sampling import SamplingPlan
 from repro.workloads.suites import FP_BENCHMARKS, INT_BENCHMARKS, STRESS_BENCHMARKS
 
@@ -205,7 +205,7 @@ def version_payload() -> Dict[str, object]:
     return {
         "simulator_version_tag": SIMULATOR_VERSION_TAG,
         "sampling_version_tag": SAMPLING_VERSION_TAG,
-        "kernels": list(VALID_KERNELS),
+        "kernels": list(engine.VALID_KERNELS),
     }
 
 
@@ -228,7 +228,7 @@ def render_catalog() -> str:
             "benchmarks (stress, exploration-only)": STRESS_BENCHMARKS,
             "figures": [f"{number}: {_TITLES[number]}" for number in ALL_FIGURES],
             "schemes": schemes,
-            "kernels": list(VALID_KERNELS),
+            "kernels": list(engine.VALID_KERNELS),
             "execution modes": ["full (default)", "sampled (--sampling)"],
         },
     )
@@ -330,7 +330,7 @@ def main(argv: List[str] = None) -> None:
                         default="all",
                         help="restrict the sweep to one SPEC suite "
                              "(int: figures 2,7; fp: figures 3,4,6,8)")
-    parser.add_argument("--kernel", choices=tuple(VALID_KERNELS),
+    parser.add_argument("--kernel", choices=engine.VALID_KERNELS,
                         default="skip",
                         help="simulation kernel: event-driven cycle "
                              "skipping (default), the naive per-cycle "
@@ -450,10 +450,7 @@ def main(argv: List[str] = None) -> None:
     else:
         numbers = figures_for_suite(args.benchmarks)
 
-    if args.no_cache:
-        store = False
-    else:
-        store = ResultStore(args.cache_dir) if args.cache_dir else ResultStore(default_cache_dir())
+    store = False if args.no_cache else ResultStore(args.cache_dir or None)
     scale = RunScale(num_instructions=args.scale,
                      warmup_instructions=args.scale // 2,
                      seed=args.seed)

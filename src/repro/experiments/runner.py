@@ -34,7 +34,7 @@ from repro.common.config import (
     stable_fingerprint,
 )
 from repro.common.stats import SimulationStats
-from repro.core.engine import KernelTelemetry
+from repro.core.engine import KERNEL_SKIP, KernelTelemetry
 from repro.core.processor import Processor
 from repro.experiments.store import ResultStore, result_key
 from repro.workloads import spill
@@ -150,7 +150,7 @@ def simulate_pair(
     scheme: SchemeOrConfig,
     scale: RunScale,
     trace: Optional[Trace] = None,
-    kernel: Optional[str] = None,
+    kernel: str = KERNEL_SKIP,
 ) -> Tuple[SimulationStats, Trace, KernelTelemetry]:
     """Simulate one (benchmark, scheme-or-config) pair from scratch.
 
@@ -158,20 +158,19 @@ def simulate_pair(
     processor) or a full :class:`ProcessorConfig`. Pass a previously
     generated ``trace`` to skip trace generation (traces are
     deterministic in (profile, length, seed), so a reused trace is
-    indistinguishable from a fresh one). ``kernel`` overrides the
-    config's simulation kernel — a wall-clock knob only, results are
-    bit-identical either way. Returns the stats, the trace for reuse and
-    the run's own kernel telemetry.
+    indistinguishable from a fresh one). ``kernel`` names the simulation
+    kernel — a wall-clock knob only, results are bit-identical either
+    way. Returns the stats, the trace for reuse and the run's own kernel
+    telemetry.
     """
     profile = get_profile(benchmark)
     if trace is None:
         trace = resolve_trace(benchmark, scale)
-    config = resolve_config(scheme)
-    if kernel is not None:
-        config = config.with_kernel(kernel)
-    processor = Processor(config, trace)
+    processor = Processor(resolve_config(scheme), trace)
     prewarm(processor.hierarchy, profile, scale.seed)
-    stats = processor.run(warmup_instructions=scale.warmup_instructions)
+    stats = processor.run(
+        warmup_instructions=scale.warmup_instructions, kernel=kernel
+    )
     return stats, trace, processor.kernel_telemetry
 
 
@@ -181,7 +180,7 @@ def simulate_sampled_pair(
     scale: RunScale,
     sampling,
     trace: Optional[Trace] = None,
-    kernel: Optional[str] = None,
+    kernel: str = KERNEL_SKIP,
 ):
     """Sampled-mode sibling of :func:`simulate_pair`.
 
@@ -202,8 +201,6 @@ def simulate_sampled_pair(
     if trace is None:
         trace = resolve_trace(benchmark, scale)
     config = resolve_config(scheme)
-    if kernel is not None:
-        config = config.with_kernel(kernel)
     windows, slices, telemetry = engine.run_sampled(
         config,
         trace,
@@ -212,6 +209,7 @@ def simulate_sampled_pair(
         scale.num_instructions,
         profile=profile,
         prewarm_seed=scale.seed,
+        kernel=kernel,
     )
     sampled = estimate_sampled(
         sampling,
@@ -244,12 +242,12 @@ def execute_pair(
     into each other's counts. Returns ``(stats, sampled)``; ``sampled``
     is ``None`` for full runs.
     """
-    kernel_name = kernel or resolve_config(scheme).kernel
+    kernel = kernel or KERNEL_SKIP
     with obs.span(
         "runner.simulate",
         benchmark=benchmark,
         scheme=scheme_label(scheme),
-        kernel=kernel_name,
+        kernel=kernel,
         mode="sampled" if sampling is not None else "full",
     ):
         trace = resolve_trace(benchmark, scale, trace_dir)
@@ -268,7 +266,7 @@ def execute_pair(
                 kernel=kernel,
             )
             stats = sampled.stats
-    obs.record_kernel_delta(kernel_name, telemetry.as_dict())
+    obs.record_kernel_delta(kernel, telemetry.as_dict())
     if sampled is not None:
         # The ffwd-vs-detailed split: how much of the instruction
         # stream went through functional fast-forward instead of
@@ -289,9 +287,8 @@ class ExperimentRunner:
     disk cache otherwise, and ``False`` disables the disk layer outright.
     ``workers`` is the default pool size for :meth:`run_many` (0 = serial;
     individual calls may override it). ``kernel`` pins the simulation
-    kernel for every run this runner executes (``None`` = the config
-    default); it never affects cache keys because both kernels are
-    bit-identical.
+    kernel for every run this runner executes (``None`` = ``skip``); it
+    never affects cache keys because every kernel is bit-identical.
 
     ``sampling`` switches the runner to the sampled execution mode: a
     :class:`~repro.sampling.plan.SamplingPlan` makes every simulation a

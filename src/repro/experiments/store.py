@@ -227,12 +227,12 @@ def result_key(
     the same pair, and keys without a salt or armed fault are
     byte-for-byte what they were before those inputs existed.
 
-    ``salt`` partitions the key space on purpose. The processor config
-    deliberately excludes the simulation kernel from its fingerprint
-    (both kernels are bit-identical *by contract*), so a differential
-    oracle that re-ran one pair under each kernel through the normal
-    cache would hit the first kernel's entry for the second and never
-    see a divergence — it must salt each leg into its own namespace.
+    ``salt`` partitions the key space on purpose. The simulation kernel
+    is no part of the key (every kernel is bit-identical *by contract*),
+    so a differential oracle that re-ran one pair under each kernel
+    through the normal cache would hit the first kernel's entry for the
+    second and never see a divergence — it must salt each leg into its
+    own namespace.
 
     Armed faults (:mod:`repro.common.faults`) are *always* part of the
     material: a fault changes simulated behaviour at runtime, invisibly

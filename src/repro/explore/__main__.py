@@ -44,9 +44,9 @@ import argparse
 from typing import List, Optional
 
 from repro import obs
-from repro.common.config import VALID_KERNELS
 from repro.common.errors import ConfigurationError, UnknownBenchmarkError
-from repro.experiments.store import ResultStore, default_cache_dir
+from repro.core.engine import VALID_KERNELS
+from repro.experiments.store import ResultStore
 from repro.explore.drivers import (
     ExplorationSettings,
     resolve_benchmarks,
@@ -161,12 +161,7 @@ def main(argv: Optional[List[str]] = None) -> None:
         settings.scale().validate()
     except (ConfigurationError, ValueError) as exc:
         parser.error(str(exc))
-    if args.no_cache:
-        store = False
-    else:
-        store = ResultStore(args.cache_dir) if args.cache_dir else ResultStore(
-            default_cache_dir()
-        )
+    store = False if args.no_cache else ResultStore(args.cache_dir or None)
 
     if args.trace_out:
         obs.configure(args.trace_out)

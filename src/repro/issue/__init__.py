@@ -14,7 +14,7 @@ from repro.issue.fifo_side import FifoSide
 from repro.issue.issuefifo import IssueFifoScheme
 from repro.issue.latency_estimator import IssueTimeEstimator
 from repro.issue.latfifo import LatencyPlacedFifoSide, LatFifoScheme
-from repro.issue.mapping import ChainRenameTable, QueueRenameTable
+from repro.issue.mapping import QueueRenameTable
 from repro.issue.mixbuff import MixBuffScheme, MixBuffSide
 from repro.issue.selection import (
     CODE_FINISHED,
@@ -30,7 +30,6 @@ __all__ = [
     "CODE_FINISHED",
     "CODE_FINISHES_NEXT_CYCLE",
     "CODE_NOT_READY",
-    "ChainRenameTable",
     "ConventionalIssueQueue",
     "FifoSide",
     "IssueContext",

@@ -55,7 +55,7 @@ class FifoSide:
         srcs = uop.inst.srcs
         if src_index >= len(srcs):
             return None
-        return self.table.queue_of(srcs[src_index])
+        return self.table.producer(srcs[src_index])
 
     def try_place(self, uop: InFlight, cycle: int) -> bool:
         """Apply the dispatch heuristics; returns False on stall."""

@@ -1,4 +1,4 @@
-"""Register → queue mapping tables (the "Qrename" structures).
+"""Register → queue mapping table (the "Qrename" structure).
 
 Both FIFO schemes and MixBUFF steer a dispatched instruction to the queue
 holding its producer. The hardware is a small RAM indexed by logical
@@ -15,39 +15,42 @@ branch misprediction (the paper found regeneration unnecessary).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from repro.common.stats import StatCounters
 from repro.isa.instructions import RegisterRef
 
-__all__ = ["QueueRenameTable", "ChainRenameTable"]
-
-
-def _key(ref: RegisterRef) -> Tuple[bool, int]:
-    return (ref.is_fp, ref.index)
+__all__ = ["QueueRenameTable"]
 
 
 class QueueRenameTable:
-    """Logical register → FIFO queue holding its producer at the tail."""
+    """Logical register → the location whose tail produces it.
+
+    A *location* is where a scheme appends instructions: a FIFO queue
+    index for the FIFO schemes, a ``(queue, chain)`` pair for MixBUFF,
+    whose chain is extended only by a consumer of its *last dispatched*
+    instruction (Section 3.2.1: "an instruction is placed in the same
+    queue as its predecessor only if it is the last instruction of the
+    chain"). Every access counts as a ``qrename`` event, the Qrename RAM
+    the energy model prices for every multi-queue scheme.
+    """
 
     def __init__(self, events: StatCounters) -> None:
-        self._map: Dict[Tuple[bool, int], int] = {}
-        self._tail_reg: Dict[int, Optional[Tuple[bool, int]]] = {}
+        self._map: Dict[Tuple[bool, int], Hashable] = {}
+        self._tail_reg: Dict[Hashable, Tuple[bool, int]] = {}
         self.events = events
 
-    def queue_of(self, ref: RegisterRef) -> Optional[int]:
-        """Queue whose tail produces ``ref``, or None."""
+    def producer(self, ref: RegisterRef) -> Optional[Hashable]:
+        """Location whose tail produces ``ref``, or None."""
         self.events.add("qrename_read")
-        key = _key(ref)
-        queue = self._map.get(key)
-        if queue is None:
-            return None
-        if self._tail_reg.get(queue) != key:
-            return None  # someone else is the tail now
-        return queue
+        key = (ref.is_fp, ref.index)
+        location = self._map.get(key)
+        if location is None or self._tail_reg.get(location) != key:
+            return None  # never mapped, or someone else is the tail now
+        return location
 
-    def set_tail(self, queue: int, dest: Optional[RegisterRef]) -> None:
-        """Instruction dispatched to ``queue``; it is the new tail.
+    def set_tail(self, location: Hashable, dest: Optional[RegisterRef]) -> None:
+        """Instruction dispatched to ``location``; it is the new tail.
 
         Instructions without a destination (stores, branches) write
         nothing into the table — the hardware table is indexed by
@@ -59,60 +62,13 @@ class QueueRenameTable:
         if dest is None:
             return
         self.events.add("qrename_write")
-        key = _key(dest)
-        self._map[key] = queue
-        self._tail_reg[queue] = key
+        key = (dest.is_fp, dest.index)
+        self._map[key] = location
+        self._tail_reg[location] = key
 
-    def clear(self) -> None:
-        """Branch misprediction: wipe the whole table."""
-        self._map.clear()
-        self._tail_reg.clear()
-
-
-class ChainRenameTable:
-    """Logical register → (queue, chain) for MixBUFF.
-
-    Each chain remembers the register its *last dispatched* instruction
-    produces; an instruction extends a chain only if one of its sources
-    is that register (Section 3.2.1: "an instruction is placed in the
-    same queue as its predecessor only if it is the last instruction of
-    the chain"). Its accesses are counted as ``qrename`` events, the
-    Qrename RAM the energy model prices for every multi-queue scheme.
-    """
-
-    def __init__(self, events: StatCounters) -> None:
-        self._map: Dict[Tuple[bool, int], Tuple[int, int]] = {}
-        self._tail_reg: Dict[Tuple[int, int], Optional[Tuple[bool, int]]] = {}
-        self.events = events
-
-    def chain_of(self, ref: RegisterRef) -> Optional[Tuple[int, int]]:
-        """(queue, chain) whose last instruction produces ``ref``."""
-        self.events.add("qrename_read")
-        key = _key(ref)
-        qc = self._map.get(key)
-        if qc is None:
-            return None
-        if self._tail_reg.get(qc) != key:
-            return None
-        return qc
-
-    def set_tail(self, queue: int, chain: int, dest: Optional[RegisterRef]) -> None:
-        """Instruction dispatched to (queue, chain); it is the new tail.
-
-        As in :class:`QueueRenameTable`, dest-less instructions leave the
-        previous producer's entry valid.
-        """
-        if dest is None:
-            return
-        self.events.add("qrename_write")
-        qc = (queue, chain)
-        key = _key(dest)
-        self._map[key] = qc
-        self._tail_reg[qc] = key
-
-    def chain_retired(self, queue: int, chain: int) -> None:
-        """Chain has no instructions left in the queue; forget its tail."""
-        self._tail_reg.pop((queue, chain), None)
+    def retire(self, location: Hashable) -> None:
+        """``location`` holds no instructions any more; forget its tail."""
+        self._tail_reg.pop(location, None)
 
     def clear(self) -> None:
         """Branch misprediction: wipe the whole table."""

@@ -24,7 +24,7 @@ from repro.core.uop import InFlight
 from repro.issue.base import IssueContext, IssueScheme
 from repro.issue.fifo_side import FifoSide
 from repro.issue.latency_estimator import value_latency
-from repro.issue.mapping import ChainRenameTable
+from repro.issue.mapping import QueueRenameTable
 from repro.issue.selection import SelectableEntry, select_entry
 
 __all__ = ["MixBuffScheme", "MixBuffSide"]
@@ -68,7 +68,7 @@ class MixBuffSide:
         self.max_chains = max_chains
         self.config = config
         self.events = events
-        self.table = ChainRenameTable(events)
+        self.table = QueueRenameTable(events)
         self.queues: List[List[InFlight]] = [[] for __ in range(num_queues)]
         self.chains: List[Dict[int, _Chain]] = [{} for __ in range(num_queues)]
 
@@ -98,7 +98,7 @@ class MixBuffSide:
         # Prefer extending the chain of a source operand whose producer
         # is that chain's last dispatched instruction.
         for ref in uop.inst.srcs:
-            qc = self.table.chain_of(ref)
+            qc = self.table.producer(ref)
             if qc is None:
                 continue
             queue_index, chain_id = qc
@@ -124,7 +124,7 @@ class MixBuffSide:
         uop.chain_id = chain.chain_id
         chain.pending += 1
         self.queues[queue_index].append(uop)
-        self.table.set_tail(queue_index, chain.chain_id, uop.inst.dest)
+        self.table.set_tail((queue_index, chain.chain_id), uop.inst.dest)
         self.events.add("mb_buff_write")
 
     # -- issue ----------------------------------------------------------
@@ -197,7 +197,7 @@ class MixBuffSide:
             # Chain drained: free its identifier and retire its mapping
             # so later consumers start fresh chains.
             del self.chains[queue_index][uop.chain_id]
-            self.table.chain_retired(queue_index, uop.chain_id)
+            self.table.retire((queue_index, uop.chain_id))
 
     # -- skipping-kernel support ------------------------------------------
     def next_code_boundary(self, cycle: int, scoreboard) -> Optional[int]:

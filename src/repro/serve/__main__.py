@@ -42,7 +42,7 @@ import asyncio
 from typing import List, Optional
 
 from repro import obs
-from repro.experiments.store import ResultStore, default_cache_dir
+from repro.experiments.store import ResultStore
 from repro.serve.app import ServeApp
 
 
@@ -70,7 +70,7 @@ def main(argv: Optional[List[str]] = None) -> None:
     if args.workers < 0:
         parser.error("--workers cannot be negative")
     app = ServeApp(
-        ResultStore(args.cache_dir if args.cache_dir else default_cache_dir()),
+        ResultStore(args.cache_dir or None),
         workers=args.workers,
     )
     if args.trace_out:

@@ -30,8 +30,9 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import obs
-from repro.common.config import VALID_KERNELS, scheme_name
+from repro.common.config import scheme_name
 from repro.common.errors import ConfigurationError, ReproError
+from repro.core.engine import VALID_KERNELS
 from repro.experiments import figures as fig_mod
 from repro.experiments.campaign import ALL_FIGURES, export_campaign
 from repro.experiments.runner import ExperimentRunner, RunScale

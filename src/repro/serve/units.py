@@ -8,8 +8,8 @@ requests whose units hash alike are, by the store's own contract, asking
 for bit-identical results, so one execution can answer both.
 
 The simulation kernel is deliberately *not* part of the key (all kernels
-are bit-identical by contract, and the config fingerprint excludes the
-knob), but it *is* part of the batch signature: a batch maps onto one
+are bit-identical by contract, and no config holds a kernel), but it *is*
+part of the batch signature: a batch maps onto one
 ``ExperimentRunner.run_many`` call, which takes a single scale / kernel /
 sampling plan for the whole batch.
 """

@@ -12,13 +12,9 @@ from dataclasses import replace
 import pytest
 
 from repro.backends import codegen, kernel_cache
-from repro.common.config import (
-    KERNEL_NAIVE,
-    KERNEL_SPECIALIZED,
-    VALID_KERNELS,
-    default_config,
-)
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.config import default_config
+from repro.common.errors import SimulationError
+from repro.core.engine import KERNEL_NAIVE, KERNEL_SPECIALIZED, VALID_KERNELS
 from repro.experiments import IF_DISTR, IQ_64_64
 from repro.experiments.runner import RunScale, simulate_pair
 
@@ -68,8 +64,6 @@ class TestRegistry:
         from repro.core import engine
 
         assert "vectorized" not in VALID_KERNELS
-        with pytest.raises(ConfigurationError):
-            default_config(IQ_64_64).with_kernel("vectorized").validate()
         with pytest.raises(SimulationError, match="unknown simulation kernel"):
             engine.run_kernel(_gzip_processor(), "vectorized", 600, 10_000, 200)
 
@@ -109,14 +103,6 @@ class TestKernelSpec:
         assert codegen.spec_digest(spec) != codegen.spec_digest(other)
         # Past the docstring, which quotes the spec, the code differs too.
         assert _code(spec) != _code(other)
-
-    def test_kernel_excluded_from_spec(self):
-        # The knob selects the execution strategy; it must not fork the
-        # generated kernel's identity.
-        base = default_config(IQ_64_64)
-        assert codegen.kernel_spec(base) == codegen.kernel_spec(
-            base.with_kernel(KERNEL_SPECIALIZED)
-        )
 
 
 class TestCodegenCache:

@@ -127,7 +127,7 @@ class TestListCatalog:
 
 class TestVersionTag:
     def test_version_tag_prints_registry_json(self, capsys):
-        from repro.common.config import VALID_KERNELS
+        from repro.core.engine import VALID_KERNELS
         from repro.experiments.store import SIMULATOR_VERSION_TAG
 
         main(["--version-tag"])

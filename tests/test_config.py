@@ -186,8 +186,6 @@ class TestProcessorConfig:
 def reference_fingerprint(obj) -> str:
     """The uncached rendering every stored result key was built from."""
     payload = {"__type__": type(obj).__name__, **dataclasses.asdict(obj)}
-    for name in getattr(type(obj), "_FINGERPRINT_EXCLUDE", ()):
-        payload.pop(name, None)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

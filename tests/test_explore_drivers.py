@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from repro.common.config import VALID_KERNELS
 from repro.common.errors import ConfigurationError
+from repro.core.engine import VALID_KERNELS
 from repro.experiments.store import ResultStore
 from repro.explore.__main__ import main as explore_main
 from repro.explore.drivers import (

@@ -19,24 +19,25 @@ import random
 import pytest
 
 from repro.common import faults
-from repro.common.config import (
+from repro.common.config import IssueSchemeConfig, default_config
+from repro.common.errors import SimulationError
+from repro.core.engine import (
     KERNEL_NAIVE,
     KERNEL_SKIP,
     KERNEL_SPECIALIZED,
     VALID_KERNELS,
-    IssueSchemeConfig,
-    default_config,
 )
-from repro.common.errors import ConfigurationError
 from repro.core.processor import Processor
 from repro.experiments import IF_DISTR, IQ_64_64, MB_DISTR
 from repro.experiments.campaign import ALL_FIGURES
 from repro.experiments.figures import required_runs
 from repro.experiments.runner import (
+    ExperimentRunner,
     RunScale,
     simulate_pair,
     simulate_sampled_pair,
 )
+from repro.experiments.store import ResultStore
 from repro.sampling import SamplingPlan
 from repro.workloads.generator import generate_trace
 from repro.workloads.prewarm import prewarm
@@ -72,9 +73,9 @@ def _run(benchmark: str, num_instructions: int, seed: int,
          scheme: IssueSchemeConfig, kernel: str):
     profile = get_profile(benchmark)
     trace = generate_trace(profile, num_instructions, seed=seed)
-    processor = Processor(default_config(scheme).with_kernel(kernel), trace)
+    processor = Processor(default_config(scheme), trace)
     prewarm(processor.hierarchy, profile, seed)
-    stats = processor.run(warmup_instructions=num_instructions // 3)
+    stats = processor.run(warmup_instructions=num_instructions // 3, kernel=kernel)
     return stats, processor
 
 
@@ -111,9 +112,9 @@ class TestKernelEquivalence:
         trace = generate_trace(profile, 900, seed=3)
         results = {}
         for kernel in (KERNEL_NAIVE, KERNEL_SKIP):
-            processor = Processor(default_config(IQ_64_64).with_kernel(kernel), trace)
+            processor = Processor(default_config(IQ_64_64), trace)
             prewarm(processor.hierarchy, profile, 3)
-            results[kernel] = processor.run().to_dict()
+            results[kernel] = processor.run(kernel=kernel).to_dict()
         assert results[KERNEL_NAIVE] == results[KERNEL_SKIP]
 
 
@@ -348,25 +349,34 @@ class TestSampledSliceKernelEquivalence:
 
 
 class TestKernelKnob:
-    @pytest.mark.parametrize("kernel", NON_NAIVE_KERNELS)
-    def test_kernel_field_excluded_from_cache_key(self, kernel):
-        base = default_config(IQ_64_64)
-        assert base.with_kernel(KERNEL_NAIVE).cache_key() == (
-            base.with_kernel(kernel).cache_key()
-        )
+    def test_runs_under_every_kernel_share_cache_entries(self, tmp_path):
+        scale = RunScale(num_instructions=1200, warmup_instructions=600, seed=9)
+        keys = {
+            ExperimentRunner(scale, store=False, kernel=kernel).store_key(
+                "gzip", IF_DISTR
+            )
+            for kernel in VALID_KERNELS
+        }
+        assert len(keys) == 1
+        store = ResultStore(tmp_path)
+        naive = ExperimentRunner(scale, store=store, kernel=KERNEL_NAIVE)
+        stored = naive.run("gzip", IF_DISTR)
+        assert naive.cache_stats()["simulations"] == 1
+        specialized = ExperimentRunner(scale, store=store, kernel=KERNEL_SPECIALIZED)
+        assert specialized.run("gzip", IF_DISTR).to_dict() == stored.to_dict()
+        assert specialized.cache_stats() == {
+            "memory_hits": 0, "disk_hits": 1, "simulations": 0,
+        }
 
-    @pytest.mark.parametrize("kernel", sorted(VALID_KERNELS))
-    def test_every_registered_kernel_validates(self, kernel):
-        default_config(IQ_64_64).with_kernel(kernel).validate()
+    def test_unknown_kernel_rejected(self):
+        trace = generate_trace(get_profile("gzip"), 600, seed=2)
+        processor = Processor(default_config(IQ_64_64), trace)
+        with pytest.raises(SimulationError, match="unknown simulation kernel"):
+            processor.run(kernel="warp")
 
     def test_other_fields_still_change_the_key(self):
         base = default_config(IQ_64_64)
         assert base.cache_key() != default_config(IF_DISTR).cache_key()
-
-    def test_invalid_kernel_rejected(self):
-        config = default_config(IQ_64_64).with_kernel("warp")
-        with pytest.raises(ConfigurationError):
-            config.validate()
 
     @pytest.mark.parametrize("kernel", NON_NAIVE_KERNELS)
     def test_simulate_pair_kernel_override_is_bit_identical(self, kernel):

@@ -319,12 +319,12 @@ class TestConcurrentAttribution:
         from repro.experiments.runner import ExperimentRunner, RunScale
 
         barrier = threading.Barrier(2, timeout=60)
-        processors = []
+        runs = []
         original_run = Processor.run
 
-        def run_then_wait(self, *args, **kwargs):
-            stats = original_run(self, *args, **kwargs)
-            processors.append(self)
+        def run_then_wait(self, **kwargs):
+            stats = original_run(self, **kwargs)
+            runs.append((kwargs["kernel"], self))
             barrier.wait()
             return stats
 
@@ -349,16 +349,16 @@ class TestConcurrentAttribution:
             thread.join(timeout=120)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert len(processors) == 2
+        assert len(runs) == 2
 
         total = KernelTelemetry()
         expected = MetricsRegistry()
         measured = obs.set_registry(expected)
         try:
-            for processor in processors:
+            for kernel, processor in runs:
                 total.merge(processor.kernel_telemetry)
                 obs.record_kernel_delta(
-                    processor.config.kernel, processor.kernel_telemetry.as_dict()
+                    kernel, processor.kernel_telemetry.as_dict()
                 )
         finally:
             obs.set_registry(measured)

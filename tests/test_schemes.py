@@ -258,8 +258,8 @@ class TestIssueFifoScheme:
         scheme.try_dispatch(make_uop(alu(0, r(1))), 0)
         scheme.try_dispatch(make_uop(fpalu(1, f(1))), 0)
         scheme.on_mispredict_resolved()
-        assert scheme.int_side.table.queue_of(r(1)) is None
-        assert scheme.fp_side.table.queue_of(f(1)) is None
+        assert scheme.int_side.table.producer(r(1)) is None
+        assert scheme.fp_side.table.producer(f(1)) is None
 
     def test_regs_ready_write_on_broadcast(self):
         __, scheme = self.make()
@@ -406,7 +406,7 @@ class TestMixBuffScheme:
         ctx = make_ctx(cfg, cycle=5)
         assert scheme.select_and_issue(ctx) == [uop]
         assert scheme.fp_side.live_chains() == 0
-        assert scheme.fp_side.table.chain_of(f(1)) is None
+        assert scheme.fp_side.table.producer(f(1)) is None
 
     def test_int_side_is_plain_issuefifo(self):
         __, scheme = self.make()
