@@ -368,6 +368,12 @@ class TestKernelKnob:
             "memory_hits": 0, "disk_hits": 1, "simulations": 0,
         }
 
+    @pytest.mark.parametrize("kernel", sorted(VALID_KERNELS))
+    def test_every_registered_kernel_validates(self, kernel):
+        trace = generate_trace(get_profile("gzip"), 600, seed=2)
+        stats = Processor(default_config(IQ_64_64), trace).run(kernel=kernel)
+        assert stats.committed_instructions == len(trace)
+
     def test_unknown_kernel_rejected(self):
         trace = generate_trace(get_profile("gzip"), 600, seed=2)
         processor = Processor(default_config(IQ_64_64), trace)
