@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro import obs
 from repro.common.config import scheme_name
@@ -95,6 +95,7 @@ __all__ = [
     "main",
     "ALL_FIGURES",
     "figures_for_suite",
+    "figure_data",
     "figure_rows",
     "export_campaign",
     "render_catalog",
@@ -138,8 +139,17 @@ def figures_for_suite(benchmarks: str) -> List[int]:
     return ALL_FIGURES
 
 
-def _generator(number: int) -> Callable[[ExperimentRunner], Dict]:
-    return getattr(fig_mod, f"figure{number}")
+def figure_data(runner: ExperimentRunner, number: int) -> Dict:
+    """Figure ``number``'s data, generated once per runner and suite set.
+
+    The key names both suites: a caller may narrow ``figures.INT_BENCHMARKS``
+    or ``figures.FP_BENCHMARKS`` on a runner that already rendered the figure.
+    """
+    key = ("figure", number,
+           tuple(fig_mod.INT_BENCHMARKS), tuple(fig_mod.FP_BENCHMARKS))
+    if key not in runner.derived:
+        runner.derived[key] = getattr(fig_mod, f"figure{number}")(runner)
+    return runner.derived[key]
 
 
 def figure_rows(number: int, data: Dict) -> List[Dict]:
@@ -168,9 +178,10 @@ def export_campaign(
 ) -> str:
     """Write the figures' data as a JSON or CSV artifact; returns the path.
 
-    Reuses the exploration subsystem's atomic writers; with a prefetched
-    runner the generators replay from the warm memory cache, so the
-    export costs no simulations.
+    Reuses the exploration subsystem's atomic writers. The data comes
+    from :func:`figure_data`, so a figure that ``run_campaign`` already
+    rendered on this runner is not generated again; any other figure is
+    generated once, from the runner's caches.
     """
     from repro.explore.artifacts import write_csv, write_json
 
@@ -178,14 +189,14 @@ def export_campaign(
         payload = {
             f"figure_{number}": {
                 "title": _TITLES[number],
-                "data": _generator(number)(runner),
+                "data": figure_data(runner, number),
             }
             for number in figure_numbers
         }
         return str(write_json(path, payload))
     rows: List[Dict] = []
     for number in figure_numbers:
-        rows.extend(figure_rows(number, _generator(number)(runner)))
+        rows.extend(figure_rows(number, figure_data(runner, number)))
     return str(write_csv(path, rows))
 
 
@@ -300,7 +311,7 @@ def run_campaign(
     runner.prefetch(fig_mod.required_runs(figure_numbers), workers=workers)
     rendered: Dict[int, str] = {}
     for number in figure_numbers:
-        data = _generator(number)(runner)
+        data = figure_data(runner, number)
         title = f"Figure {number}. {_TITLES[number]}"
         if number in _SERIES_FIGURES:
             rendered[number] = render_series(title, data)

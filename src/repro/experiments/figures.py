@@ -148,35 +148,43 @@ def figure11(runner: ExperimentRunner) -> Dict[str, Dict[str, float]]:
 
 
 def _efficiency(
-    runner: ExperimentRunner, benchmark: str
+    runner: ExperimentRunner, benchmark: str, models: Mapping[str, EnergyModel]
 ) -> Dict[str, EfficiencyMetrics]:
     """Efficiency metrics for the three schemes on one benchmark.
 
     The rest-of-chip model is calibrated per benchmark on the IQ_64_64
     baseline so that the issue queue is 23% of chip energy there.
+    ``models`` holds each Section 4 scheme's energy model. Figures 12-15
+    all read this table, so the runner keeps it per benchmark.
     """
-    baseline_stats = runner.run(benchmark, IQ_64_64)
-    baseline_model = EnergyModel(default_config(IQ_64_64))
-    rest = calibrate_rest_of_chip(
-        baseline_model.energy_pj(baseline_stats.events.as_dict()),
-        baseline_stats.cycles,
-        baseline_stats.committed_instructions,
-    )
-    out: Dict[str, EfficiencyMetrics] = {}
-    for scheme_name, scheme in SCHEMES_SECTION4.items():
-        stats = runner.run(benchmark, scheme)
-        model = EnergyModel(default_config(scheme))
-        out[scheme_name] = compute_metrics(model, stats, rest)
-    return out
+    key = ("efficiency", benchmark)
+    if key not in runner.derived:
+        baseline_stats = runner.run(benchmark, IQ_64_64)
+        rest = calibrate_rest_of_chip(
+            models["IQ_64_64"].energy_pj(baseline_stats.events.as_dict()),
+            baseline_stats.cycles,
+            baseline_stats.committed_instructions,
+        )
+        runner.derived[key] = {
+            scheme_name: compute_metrics(
+                models[scheme_name], runner.run(benchmark, scheme), rest
+            )
+            for scheme_name, scheme in SCHEMES_SECTION4.items()
+        }
+    return runner.derived[key]
 
 
 def _normalized_metric(runner: ExperimentRunner, metric: str) -> Dict[str, Dict[str, float]]:
     """Suite-averaged normalized metric per scheme (baseline = 1.0)."""
+    models = {
+        name: EnergyModel(default_config(scheme))
+        for name, scheme in SCHEMES_SECTION4.items()
+    }
     result: Dict[str, Dict[str, float]] = {}
     for suite_name, benchmarks in (("SPECINT", INT_BENCHMARKS), ("SPECFP", FP_BENCHMARKS)):
         sums = {name: 0.0 for name in SCHEMES_SECTION4}
         for benchmark in benchmarks:
-            metrics = _efficiency(runner, benchmark)
+            metrics = _efficiency(runner, benchmark, models)
             baseline = metrics["IQ_64_64"]
             for scheme_name, m in metrics.items():
                 sums[scheme_name] += m.normalized_to(baseline)[metric]

@@ -330,6 +330,10 @@ class ExperimentRunner:
         self._result_cache: Dict[Tuple[str, SchemeOrConfig], SimulationStats] = {}
         #: Estimate records of sampled runs, keyed like the result cache.
         self._sampled_cache: Dict[Tuple[str, SchemeOrConfig], object] = {}
+        #: Values derived from resolved results, such as figure data. A
+        #: resolved pair never changes for this runner's life, so an entry
+        #: stays valid if its key names every other input it read.
+        self.derived: Dict[tuple, object] = {}
 
     def _trace_dir(self) -> Optional[str]:
         """Spill directory for worker-shared traces (disk cache root)."""

@@ -104,6 +104,9 @@ def atomic_write_json(path: Path, payload: dict) -> Path:
 #: pathologically loaded machine.
 STALE_TMP_AGE_SECONDS = 3600.0
 
+#: Absolute store roots this process has already swept at construction.
+_SWEPT_ROOTS: set = set()
+
 
 def sweep_stale_tmp(root: os.PathLike, max_age: float = STALE_TMP_AGE_SECONDS) -> int:
     """Best-effort removal of orphaned atomic-write temp files.
@@ -272,8 +275,12 @@ class ResultStore:
         # Cache hygiene: reap temp files orphaned by SIGKILLed writers.
         # The sweep covers the whole tree (results and traces) and only
         # touches files old enough that no live writer can still own
-        # them.
-        sweep_stale_tmp(self.root)
+        # them. It walks every file, so it runs once per process and
+        # root: a warm replay builds a store per campaign.
+        root_id = os.path.abspath(self.root)
+        if root_id not in _SWEPT_ROOTS:
+            _SWEPT_ROOTS.add(root_id)
+            sweep_stale_tmp(self.root)
 
     @classmethod
     def from_env(cls) -> Optional["ResultStore"]:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.common.config import stable_fingerprint
+from repro.core.engine import KERNEL_SKIP
 from repro.experiments.runner import RunScale, SchemeOrConfig, resolve_config
 from repro.experiments.store import result_key
 from repro.workloads.suites import get_profile
@@ -63,7 +64,7 @@ class WorkUnit:
         """Units sharing this signature fold into one ``run_many`` call."""
         return (
             stable_fingerprint(self.scale),
-            self.kernel or "",
+            self.kernel or KERNEL_SKIP,
             stable_fingerprint(self.sampling) if self.sampling is not None else "",
         )
 

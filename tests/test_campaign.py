@@ -1,6 +1,7 @@
 """Tests for the batch campaign entry point."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -14,13 +15,29 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.experiments.runner import ExperimentRunner, RunScale
+from repro.experiments.store import ResultStore
+
+SMALL = RunScale(1200, 600, 7)
 
 
 @pytest.fixture()
 def small(monkeypatch):
     monkeypatch.setattr(fig_mod, "INT_BENCHMARKS", ["gzip"])
     monkeypatch.setattr(fig_mod, "FP_BENCHMARKS", ["mesa"])
-    return ExperimentRunner(RunScale(1200, 600, 7))
+    return ExperimentRunner(SMALL)
+
+
+@pytest.fixture(scope="module")
+def small_store(tmp_path_factory):
+    """One store for the whole-matrix tests below, so only the first
+    of them simulates the (gzip, mesa) campaign."""
+    return ResultStore(tmp_path_factory.mktemp("small-campaign"))
+
+
+@pytest.fixture()
+def small_stored(small, small_store):
+    """A runner on ``small``'s suites over the module's shared store."""
+    return ExperimentRunner(SMALL, store=small_store)
 
 
 class TestCampaign:
@@ -258,6 +275,60 @@ class TestOutputExport:
         with pytest.raises(SystemExit):
             main(["--figures", "2", "--schemes", "IQ_unbounded",
                   "--cache-dir", str(tmp_path), "--output", "json"])
+
+
+class TestFigureDataOnce:
+    def test_render_then_both_exports_generate_each_figure_once(
+        self, small_stored, tmp_path, monkeypatch
+    ):
+        calls = []
+        for number in ALL_FIGURES:
+            generate = getattr(fig_mod, f"figure{number}")
+
+            def counted(runner, number=number, generate=generate):
+                calls.append(number)
+                return generate(runner)
+
+            monkeypatch.setattr(fig_mod, f"figure{number}", counted)
+        run_campaign(small_stored, ALL_FIGURES)
+        export_campaign(small_stored, ALL_FIGURES, "json", str(tmp_path / "all.json"))
+        export_campaign(small_stored, ALL_FIGURES, "csv", str(tmp_path / "all.csv"))
+        assert calls == ALL_FIGURES
+
+    def test_shared_runner_exports_the_bytes_of_a_fresh_runner_per_figure(
+        self, small_stored, small_store, tmp_path
+    ):
+        run_campaign(small_stored, ALL_FIGURES)
+        for number in ALL_FIGURES:
+            shared = tmp_path / f"shared-{number}.json"
+            fresh = tmp_path / f"fresh-{number}.json"
+            export_campaign(small_stored, [number], "json", str(shared))
+            export_campaign(
+                ExperimentRunner(SMALL, store=small_store), [number], "json", str(fresh)
+            )
+            assert shared.read_bytes() == fresh.read_bytes(), number
+
+
+class TestWholeCampaignPin:
+    """The scale-500 campaign over every figure and benchmark (428
+    pairs), pinned byte for byte: a change that moves any figure value
+    fails here. A deliberate behaviour change updates the digests with
+    the goldens."""
+
+    def test_cold_json_and_warm_csv_digests(self, tmp_path, capsys):
+        args = ["--scale", "500", "--seed", "7", "--cache-dir", str(tmp_path / "cache")]
+        cold = tmp_path / "cold.json"
+        main(args + ["--output", "json", "--output-path", str(cold)])
+        assert hashlib.sha256(cold.read_bytes()).hexdigest() == (
+            "69b1e60abaa73b62d0ef6b8de5fb313f1f5e95abd0aec56cf8c8c6bdc7275eca"
+        )
+        capsys.readouterr()
+        warm = tmp_path / "warm.csv"
+        main(args + ["--output", "csv", "--output-path", str(warm)])
+        assert " 0 simulated" in capsys.readouterr().out
+        assert hashlib.sha256(warm.read_bytes()).hexdigest() == (
+            "140ae5c050d2b50d9a7d751b2a65a6a4add20385cae68378dff759008d69056e"
+        )
 
 
 class TestRequiredRuns:

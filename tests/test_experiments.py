@@ -19,6 +19,7 @@ from repro.experiments import (
     render_table,
 )
 from repro.experiments import figures as fig_mod
+from repro.experiments.store import ResultStore
 from repro.workloads.prewarm import prewarm  # noqa: F401  (re-export sanity)
 
 SMALL = RunScale(num_instructions=1200, warmup_instructions=600, seed=7)
@@ -327,6 +328,49 @@ class TestFigureGenerators:
     def test_figure15_produces_all_schemes(self, runner, small_suites):
         data = fig_mod.figure15(runner)
         assert set(data["SPECFP"]) == {"IQ_64_64", "IF_distr", "MB_distr"}
+
+    def test_figures_12_to_15_share_one_efficiency_table_per_benchmark(
+        self, small_suites, monkeypatch, tmp_path
+    ):
+        built = []
+
+        class CountedModel(fig_mod.EnergyModel):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(fig_mod, "EnergyModel", CountedModel)
+        store = ResultStore(tmp_path)
+
+        def run_calls(numbers):
+            calls = []
+            counted = ExperimentRunner(SMALL, store=store)
+            resolve = counted.run
+            counted.run = lambda *pair: calls.append(pair) or resolve(*pair)
+            for number in numbers:
+                getattr(fig_mod, f"figure{number}")(counted)
+            return calls
+
+        alone = run_calls([12])
+        del built[:]
+        assert run_calls([12, 13, 14, 15]) == alone
+        assert len(built) <= 3 * 4
+
+    def test_narrowed_suites_never_read_a_stale_figure(self, monkeypatch, tmp_path):
+        from repro.experiments.campaign import figure_data, run_campaign
+
+        store = ResultStore(tmp_path)
+        shared = ExperimentRunner(SMALL, store=store)
+        monkeypatch.setattr(fig_mod, "INT_BENCHMARKS", ["gzip"])
+        monkeypatch.setattr(fig_mod, "FP_BENCHMARKS", ["mesa"])
+        run_campaign(shared, [2, 12])
+        monkeypatch.setattr(fig_mod, "INT_BENCHMARKS", ["crafty"])
+        monkeypatch.setattr(fig_mod, "FP_BENCHMARKS", ["swim"])
+        rendered = run_campaign(shared, [2, 12])
+        fresh = ExperimentRunner(SMALL, store=store)
+        assert rendered == run_campaign(fresh, [2, 12])
+        for number in (2, 12):
+            assert figure_data(shared, number) == figure_data(fresh, number)
 
 
 class TestReport:

@@ -401,6 +401,16 @@ class TestStaleTmpSweep:
         ResultStore(tmp_path)
         assert not orphan.exists()
 
+    def test_each_root_is_swept_once_per_process(self, tmp_path, monkeypatch):
+        from repro.experiments import store as store_mod
+
+        swept = []
+        monkeypatch.setattr(store_mod, "sweep_stale_tmp", swept.append)
+        ResultStore(tmp_path / "one")
+        ResultStore(tmp_path / "one")
+        ResultStore(tmp_path / "two")
+        assert swept == [tmp_path / "one", tmp_path / "two"]
+
     def test_missing_root_is_a_noop(self, tmp_path):
         from repro.experiments.store import sweep_stale_tmp
 

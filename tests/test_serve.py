@@ -873,6 +873,12 @@ class TestJobValidation:
         assert base.batch_signature() != other_scale.batch_signature()
         assert base.batch_signature() != other_kernel.batch_signature()
 
+    def test_a_missing_kernel_and_skip_fold_into_one_batch(self):
+        unit = WorkUnit("gzip", IQ_64_64, RunScale(2000, 1000, 7))
+        named = WorkUnit("gzip", IQ_64_64, RunScale(2000, 1000, 7), kernel="skip")
+        assert unit.key() == named.key()
+        assert unit.batch_signature() == named.batch_signature()
+
     def test_unit_key_is_the_store_key(self):
         from repro.common.config import default_config
         from repro.experiments.store import result_key
