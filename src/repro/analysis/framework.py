@@ -25,6 +25,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.experiments.store import TAGGED_PACKAGES
+
+#: Module prefixes of the version-tagged core, read from the store's one
+#: declaration: the determinism, warm-state and import-closure rules
+#: scope by it, and the telemetry rule covers the rest of the tree.
+TAGGED = tuple(f"repro.{package}" for package in TAGGED_PACKAGES)
+
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"
 
@@ -141,12 +148,14 @@ class SourceFile:
         return self._tree
 
     def in_package(self, packages: Iterable[str]) -> bool:
-        if self.module is None:
-            return False
-        return any(
-            self.module == pkg or self.module.startswith(pkg + ".")
-            for pkg in packages
-        )
+        return in_packages(self.module, packages)
+
+
+def in_packages(module: Optional[str], packages: Iterable[str]) -> bool:
+    """True when ``module`` is one of ``packages`` or a submodule of one."""
+    if module is None:
+        return False
+    return any(module == pkg or module.startswith(pkg + ".") for pkg in packages)
 
 
 @dataclass

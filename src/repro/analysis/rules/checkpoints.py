@@ -14,19 +14,7 @@ import ast
 import re
 from typing import List
 
-from repro.analysis.framework import Finding, Project, Rule, SourceFile
-
-SCOPE = (
-    "repro.backends",
-    "repro.common",
-    "repro.core",
-    "repro.frontend",
-    "repro.isa",
-    "repro.issue",
-    "repro.memory",
-    "repro.sampling",
-    "repro.workloads",
-)
+from repro.analysis.framework import TAGGED, Finding, Project, Rule, SourceFile
 
 # Names that denote a point on the cycle axis rather than a functional
 # position.  Matched against whole underscore-separated words.
@@ -61,7 +49,7 @@ class CheckpointCycleFreeRule(Rule):
     )
 
     def applies(self, source: SourceFile, project: Project) -> bool:
-        return source.in_package(SCOPE)
+        return source.in_package(TAGGED)
 
     def check(self, source: SourceFile, project: Project) -> List[Finding]:
         findings: List[Finding] = []

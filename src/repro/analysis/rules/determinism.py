@@ -15,28 +15,13 @@ import ast
 from typing import Dict, List, Optional
 
 from repro.analysis.framework import (
+    TAGGED,
     Finding,
     Project,
     Rule,
     SourceFile,
     dotted_name,
     terminal_name,
-)
-
-# The deterministic core: everything hashed into the simulator or
-# sampling version tags.  experiments/serve/explore orchestration may
-# legitimately read clocks for telemetry.
-SCOPE = (
-    "repro.backends",
-    "repro.common",
-    "repro.core",
-    "repro.energy",
-    "repro.frontend",
-    "repro.isa",
-    "repro.issue",
-    "repro.memory",
-    "repro.sampling",
-    "repro.workloads",
 )
 
 WALL_CLOCK_CALLS = frozenset(
@@ -99,7 +84,9 @@ class DeterminismRule(Rule):
     )
 
     def applies(self, source: SourceFile, project: Project) -> bool:
-        return source.in_package(SCOPE)
+        # The deterministic core is everything hashed into the version
+        # tags; the orchestration layers read clocks through repro.obs.
+        return source.in_package(TAGGED)
 
     def check(self, source: SourceFile, project: Project) -> List[Finding]:
         findings: List[Finding] = []

@@ -1,27 +1,22 @@
-"""Telemetry hygiene: observability must stay a sidecar.
+"""Telemetry hygiene: wall clocks are read only inside ``repro.obs``.
 
 ``repro.obs`` (metrics registry, tracer, clock) deliberately lives
 *outside* the version-tag closure, so enabling tracing can never rotate
-a cache key or perturb an artifact. Two source-level contracts keep it
-that way:
+a cache key or perturb an artifact. The ``version-tag-coverage`` rule
+keeps tagged modules from importing it; this rule keeps the other half
+of the sidecar contract, the **wall-clock quarantine**:
+``repro.obs.clock`` is the only place in the ``repro`` tree allowed to
+read wall clocks.
 
-1. **No back-edges** — modules hashed into the simulator/sampling
-   version tags must never import ``repro.obs``. If they did, an edit
-   to the (un-hashed) observability layer could change simulated
-   behaviour without invalidating cached results, and telemetry state
-   could leak into statistics. Tagged code that wants a counter keeps
-   plain per-run counters (``processor.kernel_telemetry``) for the
-   untagged layer to record.
-
-2. **Wall-clock quarantine** — ``repro.obs.clock`` is the only place in
-   the ``repro`` tree allowed to read wall clocks. The deterministic
-   core is already policed by the ``determinism`` rule, so this rule
-   checks the complement: the orchestration layers (experiments,
-   explore, discover, serve, analysis), where a stray ``time.time()``
-   would not corrupt results but *would* scatter unquarantined
-   nondeterminism that the next refactor can silently move into
-   something cached. Between the two rules, every ``repro`` package
-   except ``repro.obs`` is covered exactly once.
+The ``determinism`` rule already bans clock reads in the version-tagged
+core (``repro.experiments.store.TAGGED_PACKAGES``), so this rule checks
+the complement: every other module outside ``repro.obs`` — the
+orchestration layers (experiments, explore, discover, serve, analysis)
+and the package root — where a stray ``time.time()`` would not corrupt
+results but *would* scatter unquarantined nondeterminism that the next
+refactor can silently move into something cached. Between the two
+rules, every ``repro`` module except ``repro.obs`` is covered exactly
+once.
 """
 
 from __future__ import annotations
@@ -29,13 +24,19 @@ from __future__ import annotations
 import ast
 from typing import List
 
-from repro.analysis.framework import Finding, Project, Rule, SourceFile, dotted_name
+from repro.analysis.framework import (
+    TAGGED,
+    Finding,
+    Project,
+    Rule,
+    SourceFile,
+    dotted_name,
+)
 from repro.analysis.rules.determinism import (
     TIME_FUNCS,
     WALL_CLOCK_CALLS,
     _from_imports,
 )
-from repro.analysis.rules.version_tags import FALLBACK_COVERED, _import_edges
 
 OBS_PACKAGE = "repro.obs"
 
@@ -43,50 +44,27 @@ OBS_PACKAGE = "repro.obs"
 class TelemetryHygieneRule(Rule):
     id = "telemetry-hygiene"
     summary = (
-        "version-tagged packages must not import repro.obs, and repro.obs "
-        "is the only package allowed to read wall clocks"
+        "modules outside the version-tagged core read wall clocks only "
+        "through repro.obs"
     )
     rationale = (
-        "Observability is a sidecar: a back-edge from the hashed closure "
-        "into repro.obs would let telemetry perturb cached results, and "
-        "wall-clock reads outside repro.obs.clock scatter unquarantined "
-        "nondeterminism through the orchestration layers."
+        "Observability is a sidecar: wall-clock reads outside "
+        "repro.obs.clock scatter unquarantined nondeterminism through the "
+        "orchestration layers."
     )
 
     def applies(self, source: SourceFile, project: Project) -> bool:
-        if source.module is None or not source.module.startswith("repro."):
-            return False
-        # The quarantine zone itself: obs may read clocks and obviously
-        # imports obs.
-        return not source.in_package((OBS_PACKAGE,))
+        # The tagged core is the determinism rule's, and obs is the
+        # quarantine zone itself.
+        return source.in_package(("repro",)) and not source.in_package(
+            TAGGED + (OBS_PACKAGE,)
+        )
 
     def check(self, source: SourceFile, project: Project) -> List[Finding]:
         findings: List[Finding] = []
         tree = source.tree
         if tree is None:
             return findings
-
-        top = source.module.split(".")[1] if source.module else ""
-        if top in FALLBACK_COVERED:
-            # Tagged module: the determinism rule already bans its clock
-            # reads; this rule adds the telemetry back-edge check.
-            for node, target in _import_edges(tree):
-                if target == OBS_PACKAGE or target.startswith(OBS_PACKAGE + "."):
-                    findings.append(
-                        self.finding(
-                            source,
-                            node,
-                            (
-                                f"{source.module} is hashed into a version "
-                                f"tag but imports '{target}' — telemetry "
-                                f"must stay outside the closure so enabling "
-                                f"tracing never rotates a cache key"
-                            ),
-                            symbol=target,
-                        )
-                    )
-            return findings
-
         from_imports = _from_imports(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):

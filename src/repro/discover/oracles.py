@@ -444,57 +444,6 @@ class SamplingCiOracle(Oracle):
         return findings
 
 
-class StaticAnalysisOracle(Oracle):
-    """Replays the ``repro.analysis`` contract-verification pass.
-
-    A source-level violation (skip-safety, determinism, cache-key
-    hygiene, …) is point-independent, so a dirty tree yields exactly
-    one finding bound to the first planned point — content addressing
-    then collapses every campaign onto a single witness.  The analyzed
-    tree defaults to the installed ``repro`` package and can be
-    overridden with ``$REPRO_ANALYSIS_ROOT`` (sensitivity tests point
-    it at a known-bad tree).  Results are memoized per root for the
-    life of the process: sources do not change mid-campaign.
-    """
-
-    name = "static_analysis"
-    description = (
-        "the contract-verification static analysis pass reports zero "
-        "unsuppressed findings over the simulator sources"
-    )
-
-    def __init__(self) -> None:
-        self._memo: Dict[str, Tuple[str, ...]] = {}
-
-    def run(self, ctx, points, scale):
-        detail = self._analyze()
-        if not detail or not points:
-            return []
-        return [Finding(self.name, points[0], scale, detail)]
-
-    def _analyze(self) -> Tuple[str, ...]:
-        import os
-        from pathlib import Path
-
-        from repro.analysis import default_root, run_analysis
-
-        root = Path(os.environ.get("REPRO_ANALYSIS_ROOT") or default_root())
-        memo_key = str(root.resolve())
-        if memo_key not in self._memo:
-            report = run_analysis([root], base=root.parent)
-            lines = [
-                f"{f.path}:{f.line}: {f.rule}: {f.message}"
-                for f in report.findings
-            ]
-            if len(lines) > _DETAIL_CAP:
-                extra = len(lines) - _DETAIL_CAP
-                lines = lines[:_DETAIL_CAP] + [
-                    f"... and {extra} more static analysis finding(s)"
-                ]
-            self._memo[memo_key] = tuple(lines)
-        return self._memo[memo_key]
-
-
 #: The oracle catalog, in canonical (and execution) order.
 ORACLES: Dict[str, Oracle] = {
     oracle.name: oracle
@@ -503,7 +452,6 @@ ORACLES: Dict[str, Oracle] = {
         SerialParallelOracle(),
         SchemeInvariantsOracle(),
         SamplingCiOracle(),
-        StaticAnalysisOracle(),
     )
 }
 

@@ -63,9 +63,17 @@ def _loss_sweep(
     configs: Mapping[str, IssueSchemeConfig],
     benchmarks: List[str],
 ) -> Dict[str, float]:
-    """Average IPC loss (%) w.r.t. the unbounded baseline per config."""
+    """Average IPC loss (%) w.r.t. the unbounded baseline per config.
+
+    The arithmetic of :meth:`ExperimentRunner.average_loss_pct`, with
+    each benchmark's baseline IPC read once instead of once per config.
+    """
+    base = {b: runner.ipc(b, BASELINE_UNBOUNDED) for b in benchmarks}
     return {
-        name: runner.average_loss_pct(benchmarks, scheme, BASELINE_UNBOUNDED)
+        name: sum(
+            100.0 * (base[b] - runner.ipc(b, scheme)) / base[b] for b in benchmarks
+        )
+        / len(benchmarks)
         for name, scheme in configs.items()
     }
 

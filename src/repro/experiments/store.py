@@ -12,8 +12,8 @@ SHA-256 over everything that determines it:
   (so editing a profile invalidates its cached runs),
 * the :class:`~repro.experiments.runner.RunScale` (instructions, warm-up,
   seed),
-* a simulator version tag, bumped whenever the simulator's behaviour
-  changes (it tracks the package version).
+* the version tags, digests of the sources of ``TAGGED_PACKAGES``, so
+  any edit there invalidates the results it could change.
 
 Results live under ``$REPRO_CACHE_DIR`` (default
 ``~/.cache/repro-abella04``) as ``<key[:2]>/<key>.json``. Files are
@@ -43,6 +43,9 @@ from repro.workloads.profiles import WorkloadProfile
 
 __all__ = [
     "ResultStore",
+    "SIMULATOR_PACKAGES",
+    "SAMPLING_PACKAGES",
+    "TAGGED_PACKAGES",
     "SIMULATOR_VERSION_TAG",
     "SAMPLING_VERSION_TAG",
     "STALE_TMP_AGE_SECONDS",
@@ -147,7 +150,7 @@ def sweep_stale_tmp(root: os.PathLike, max_age: float = STALE_TMP_AGE_SECONDS) -
 #: latencies, issue schemes, the memory hierarchy, trace generation,
 #: even the counter plumbing — lives here. (The energy and experiments
 #: layers post-process cached stats and are deliberately excluded.)
-_SIMULATOR_PACKAGES = (
+SIMULATOR_PACKAGES = (
     "backends",
     "common",
     "core",
@@ -157,6 +160,15 @@ _SIMULATOR_PACKAGES = (
     "memory",
     "workloads",
 )
+
+#: Packages hashed into ``SAMPLING_VERSION_TAG`` (see below).
+SAMPLING_PACKAGES = ("sampling", "energy")
+
+#: The version-tagged core: every package whose sources either tag
+#: digests. This is the one declaration of that set; the static
+#: analysis scopes its determinism, warm-state and import-closure rules
+#: by it.
+TAGGED_PACKAGES = SIMULATOR_PACKAGES + SAMPLING_PACKAGES
 
 
 def package_sources_digest(packages) -> str:
@@ -179,7 +191,7 @@ def package_sources_digest(packages) -> str:
 
 def simulator_sources_digest() -> str:
     """SHA-256 over every simulator source file (see module docstring)."""
-    return package_sources_digest(_SIMULATOR_PACKAGES)
+    return package_sources_digest(SIMULATOR_PACKAGES)
 
 
 #: Stamped into every cache file and hashed into every key. Derived from
@@ -198,7 +210,7 @@ SIMULATOR_VERSION_TAG = f"abella04-sim-src-{simulator_sources_digest()[:16]}"
 #: ``energy`` stays out of the simulator tag). Edits to either package
 #: must therefore invalidate sampled cache entries — and only those.
 SAMPLING_VERSION_TAG = (
-    f"abella04-sampling-src-{package_sources_digest(('sampling', 'energy'))[:16]}"
+    f"abella04-sampling-src-{package_sources_digest(SAMPLING_PACKAGES)[:16]}"
 )
 
 _ENV_VAR = "REPRO_CACHE_DIR"

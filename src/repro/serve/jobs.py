@@ -391,9 +391,11 @@ class JobService:
             "key": outcome.key,
             "stats": outcome.stats.to_dict(),
         }
-        extra = await self._in_thread(self.store.load_with_extra, outcome.key)
-        if extra is not None and extra[1] is not None:
-            payload["sampled"] = extra[1]
+        if parsed["sampling"] is not None:
+            # Only a sampled run stores an estimate record beside its stats.
+            extra = await self._in_thread(self.store.load_with_extra, outcome.key)
+            if extra is not None and extra[1] is not None:
+                payload["sampled"] = extra[1]
         path = await self._in_thread(
             write_json, self._job_dir(job) / "result.json", payload
         )

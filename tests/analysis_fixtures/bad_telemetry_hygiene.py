@@ -1,16 +1,10 @@
-# repro-fixture-module: repro.core.bad_telemetry
-"""Known-bad fixture for the telemetry-hygiene rule: a version-tagged
-module importing repro.obs — the telemetry back-edge into the hashed
-closure that would let tracing perturb cached results."""
+# repro-fixture-module: repro.experiments.bad_fixture
+"""Known-bad fixture for the telemetry-hygiene rule: an orchestration
+module reading the wall clock directly instead of through
+repro.obs.clock, the one audited clock site."""
 
-from repro import obs
-
-
-def count_something():
-    obs.counter("repro_bad_total").inc()
+import time
 
 
-def lazy_edge():
-    import repro.obs.metrics as metrics
-
-    return metrics
+def stamp() -> float:
+    return time.time()

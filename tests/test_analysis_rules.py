@@ -1,5 +1,6 @@
 """Rule-level tests: every shipped rule catches its seeded bad fixture,
-the real tree analyzes clean, and the discovery oracle replays the pass."""
+the real tree analyzes clean, and the rules scope by the store's one
+declaration of the version-tagged core."""
 
 from __future__ import annotations
 
@@ -7,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import default_root, run_analysis
+from repro.analysis import Project, default_root, run_analysis
+from repro.analysis.engine import discover_files
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID, resolve_rules
-from repro.discover.oracles import ORACLES, StaticAnalysisOracle
-from repro.experiments.runner import RunScale
+from repro.experiments import store
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 
@@ -230,45 +231,49 @@ class TestCleanTree:
         assert default_root().name == "repro"
 
 
-class TestStaticAnalysisOracle:
-    SCALE = RunScale(num_instructions=1000, warmup_instructions=500, seed=3)
+class TestTaggedCore:
+    """The analysis scopes come from ``store.TAGGED_PACKAGES``, the same
+    tuple the version tags digest."""
 
-    def test_registered_in_catalog(self):
-        assert "static_analysis" in ORACLES
-
-    def test_clean_tree_yields_no_findings(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYSIS_ROOT", raising=False)
-        oracle = StaticAnalysisOracle()
-        assert oracle.run(None, [object()], self.SCALE) == []
-
-    def test_bad_tree_yields_one_point_bound_finding(self, tmp_path, monkeypatch):
-        (tmp_path / "bad.py").write_text(
-            "# repro-fixture-module: repro.core.bad_fx\n"
-            "import time\n"
-            "\n"
-            "\n"
-            "def now():\n"
-            "    return time.time()\n"
+    def test_version_tags_digest_the_declared_packages(self):
+        assert store.TAGGED_PACKAGES == (
+            store.SIMULATOR_PACKAGES + store.SAMPLING_PACKAGES
         )
-        monkeypatch.setenv("REPRO_ANALYSIS_ROOT", str(tmp_path))
-        oracle = StaticAnalysisOracle()
-        point = object()
-        findings = oracle.run(None, [point, object()], self.SCALE)
-        assert len(findings) == 1
-        assert findings[0].oracle == "static_analysis"
-        assert findings[0].point is point
-        assert any("determinism" in line for line in findings[0].detail)
-        # Deterministic detail: a second run reproduces the tuple.
-        assert oracle.run(None, [point], self.SCALE)[0].detail == findings[0].detail
-
-    def test_no_points_means_no_findings_even_when_dirty(self, tmp_path, monkeypatch):
-        (tmp_path / "bad.py").write_text(
-            "# repro-fixture-module: repro.core.bad_fx\n"
-            "import time\n"
-            "\n"
-            "\n"
-            "def now():\n"
-            "    return time.time()\n"
+        sim = store.package_sources_digest(store.SIMULATOR_PACKAGES)
+        sampling = store.package_sources_digest(store.SAMPLING_PACKAGES)
+        assert store.SIMULATOR_VERSION_TAG == f"abella04-sim-src-{sim[:16]}"
+        assert (
+            store.SAMPLING_VERSION_TAG == f"abella04-sampling-src-{sampling[:16]}"
         )
-        monkeypatch.setenv("REPRO_ANALYSIS_ROOT", str(tmp_path))
-        assert StaticAnalysisOracle().run(None, [], self.SCALE) == []
+
+    def test_determinism_and_telemetry_partition_the_tree(self):
+        # The tagged core is determinism's, the rest is telemetry's, and
+        # repro.obs (the one wall-clock site) is in neither.
+        base = default_root().parent
+        project = Project(discover_files([default_root()], base), base)
+        rules = (RULES_BY_ID["determinism"], RULES_BY_ID["telemetry-hygiene"])
+        for sf in project.files:
+            scopes = sum(rule.applies(sf, project) for rule in rules)
+            assert scopes == (0 if sf.in_package(("repro.obs",)) else 1), sf.module
+
+    def test_a_tagged_obs_import_is_one_finding(self, tmp_path):
+        (tmp_path / "edge.py").write_text(
+            "# repro-fixture-module: repro.core.edge_fx\n"
+            "from repro import obs\n"
+        )
+        report = run_analysis([tmp_path], base=tmp_path)
+        assert [(f.rule, f.symbol) for f in report.findings] == [
+            ("version-tag-coverage", "repro.obs")
+        ]
+
+    def test_warm_state_rule_covers_the_energy_package(self, tmp_path):
+        (tmp_path / "model.py").write_text(
+            "# repro-fixture-module: repro.energy.model_fx\n"
+            "class Model:\n"
+            "    def state_snapshot(self):\n"
+            "        return {'last_cycle': 0}\n"
+        )
+        report = run_analysis(
+            [tmp_path], base=tmp_path, rules=resolve_rules(["checkpoint-cycle-free"])
+        )
+        assert [f.symbol for f in report.findings] == ["state_snapshot.last_cycle"]

@@ -299,6 +299,33 @@ class TestFigureGenerators:
         data = fig_mod.figure2(runner)
         assert set(data) == set(fig2_configs())
 
+    @pytest.mark.parametrize(
+        "number, configs, suite",
+        [
+            (2, fig2_configs, "INT_BENCHMARKS"),
+            (3, fig3_configs, "FP_BENCHMARKS"),
+            (4, fig4_configs, "FP_BENCHMARKS"),
+            (6, fig6_configs, "FP_BENCHMARKS"),
+        ],
+    )
+    def test_loss_figures_resolve_each_pair_once(
+        self, runner, small_suites, number, configs, suite
+    ):
+        benchmarks = getattr(fig_mod, suite)
+        calls = []
+        resolve = runner.run
+        runner.run = lambda *pair: calls.append(pair) or resolve(*pair)
+        try:
+            data = getattr(fig_mod, f"figure{number}")(runner)
+        finally:
+            del runner.run
+        assert len(calls) == len(set(calls)) == len(benchmarks) * (len(configs()) + 1)
+        # Same bytes as the per-config average over the suite.
+        assert data == {
+            name: runner.average_loss_pct(benchmarks, scheme, BASELINE_UNBOUNDED)
+            for name, scheme in configs().items()
+        }
+
     def test_figure7_has_harmean(self, runner, small_suites):
         data = fig_mod.figure7(runner)
         assert set(data) == {"IQ_64_64", "IF_distr", "MB_distr"}

@@ -497,6 +497,46 @@ class TestHttpService:
         }
         assert not list(tmp_path.glob("shard-*"))
 
+    def test_a_warm_job_reads_its_result_once(self, tmp_path, monkeypatch):
+        # The scheduler's probe is the one read of a warm plain result;
+        # only a sampled job re-reads its entry, for the estimate record.
+        reads = []
+        load_with_extra = ResultStore.load_with_extra
+
+        def counted(self, key):
+            reads.append(key)
+            return load_with_extra(self, key)
+
+        monkeypatch.setattr(ResultStore, "load_with_extra", counted)
+        sampled_spec = dict(SIM_SPEC, sampling="slices=2,slice=100,warmup=50")
+
+        async def job_result(port, spec):
+            __, posted = await _post_json(port, "/v1/jobs", spec)
+            summary = await _await_job(port, json.loads(posted)["job"])
+            assert summary["state"] == "done"
+            __, artifact = await _request(
+                port, "GET", f"/v1/jobs/{summary['id']}/artifact"
+            )
+            return json.loads(artifact)
+
+        async def body():
+            app = ServeApp(ResultStore(tmp_path))
+            port = await app.start("127.0.0.1", 0)
+            try:
+                await job_result(port, SIM_SPEC)
+                del reads[:]
+                warm = await job_result(port, SIM_SPEC)
+                warm_reads = len(reads)
+                sampled = await job_result(port, sampled_spec)
+                return warm, warm_reads, sampled
+            finally:
+                await app.shutdown()
+
+        warm, warm_reads, sampled = run(body())
+        assert warm_reads == 1
+        assert "sampled" not in warm
+        assert sampled["sampled"]["plan"]["num_slices"] == 2
+
     def test_events_stream_carries_lifecycle_and_provenance(self, tmp_path):
         async def body():
             app = ServeApp(ResultStore(tmp_path))
