@@ -161,7 +161,7 @@ if is_ld:
     else:
         complete = start + hierarchy.data_access_latency(head.inst.mem_addr)
 elif op.is_store:
-    lsq.store_issued(head, complete)"""
+    lsq.store_issued(head)"""
         branch = """
 if op.is_branch:
     if complete in br_res:
@@ -187,7 +187,6 @@ for unit in _banks[fu.slot][{queue}]:
 else:
     continue
 {spend}
-head.issue_cycle = cycle
 complete = cycle + _lat[op.latency_field]{memory_completion}
 head.complete_cycle = complete
 mux = fu.mux_event
@@ -213,7 +212,7 @@ heads = []
 total_reads = 0
 for _qi, _q in enumerate({queues_var}):
     if _q:
-        heads.append((_q[0].age, _qi))
+        heads.append((_q[0].seq, _qi))
         total_reads += len(_q[0].src_phys)
 if heads:
     if total_reads:
@@ -320,7 +319,6 @@ def _fifo_place_code(queues_var: str, map_var: str, tail_var: str,
     return f"""\
 {choose}
 if qi is None:
-    rob._next_age = age
     stalled = True
     break
 {queues_var}[qi].append(uop)
@@ -336,7 +334,6 @@ _ev["fifo_write"] = _ev.get("fifo_write", 0) + 1{after_append}"""
 
 _INTERPRETED_PLACE = """\
 if not scheme.try_dispatch(uop, cycle):
-    rob._next_age = age
     stalled = True
     break"""
 
@@ -356,14 +353,12 @@ def _dispatch_place_block(spec: dict) -> str:
         return f"""\
 if uop.op.is_fp:
     if len(cq_fp) >= {fp_cap}:
-        rob._next_age = age
         stalled = True
         break
     cq_fp.append(uop)
     cq_rev[1] += 1
 else:
     if len(cq_int) >= {int_cap}:
-        rob._next_age = age
         stalled = True
         break
     cq_int.append(uop)
@@ -524,8 +519,7 @@ def make_step(processor):
     sb_fp = sb._fp
     fetch = processor.fetch
     renamer = processor.renamer
-    rob = processor.rob
-    rob_entries = rob._entries
+    rob_entries = processor.rob._entries
     lsq = processor.lsq
     hierarchy = processor.hierarchy
     stats = processor.stats
@@ -583,9 +577,7 @@ def make_step(processor):
             if len(rob_entries) >= {spec['rob_entries']} or not renamer.can_rename(inst.dest):
                 stalled = True
                 break
-            age = rob._next_age
-            rob._next_age = age + 1
-            uop = InFlight(inst, age)
+            uop = InFlight(inst)
 {_indent(_dispatch_place_block(spec), 12)}
             decode_queue.popleft()
             srcs, dp, uop.prev_phys = renamer.rename(inst.srcs, inst.dest)

@@ -4,7 +4,7 @@ from repro.core.engine import KERNEL_NAIVE, KERNEL_SKIP, KernelTelemetry
 from repro.core.functional_units import FunctionalUnit, FuPool
 from repro.core.lsq import LoadStoreQueue
 from repro.core.processor import Processor
-from repro.core.rename import PhysicalRegister, RenameMap
+from repro.core.rename import RenameMap
 from repro.core.rob import ReorderBuffer
 from repro.core.scoreboard import Scoreboard
 from repro.core.uop import InFlight
@@ -17,7 +17,6 @@ __all__ = [
     "KERNEL_SKIP",
     "KernelTelemetry",
     "LoadStoreQueue",
-    "PhysicalRegister",
     "Processor",
     "RenameMap",
     "ReorderBuffer",

@@ -9,7 +9,8 @@ in-flight store forwards the store's data.
 Issue-order constraint: a load may be issued only when all older stores
 have already issued (their address-known cycles are then scheduled).
 This is slightly conservative but uniform across all issue schemes, so
-it does not bias the comparison.
+it does not bias the comparison. A store completes when its address is
+computed, so its ``complete_cycle`` is its address-known cycle.
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ class LoadStoreQueue:
         self._stores[uop.seq] = uop
         self._unissued_stores += 1
 
-    def store_issued(self, uop: InFlight, addr_known_cycle: int) -> None:
+    def store_issued(self, uop: InFlight) -> None:
         """Record that a store's address computation has issued."""
         if uop.seq not in self._stores:
             raise SimulationError("store_issued for unknown store")
-        uop.store_addr_known_cycle = addr_known_cycle
         self._unissued_stores -= 1
 
     def can_issue_load(self, load_seq: int) -> bool:
@@ -54,7 +54,7 @@ class LoadStoreQueue:
         for seq, store in self._stores.items():
             if seq >= load_seq:
                 break
-            if store.store_addr_known_cycle is None:
+            if store.complete_cycle is None:
                 return False
         return True
 
@@ -92,7 +92,7 @@ class LoadStoreQueue:
         for seq, store in self._stores.items():
             if seq >= load.seq:
                 break
-            known = store.store_addr_known_cycle
+            known = store.complete_cycle
             if known is None:
                 raise SimulationError("load issued before older store (gating bug)")
             if known > start:

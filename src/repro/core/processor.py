@@ -117,9 +117,8 @@ class Processor:
             else:
                 complete = start + self.hierarchy.data_access_latency(uop.inst.mem_addr)
         elif op.is_store:
-            addr_known = cycle + fus.address_latency
-            self.lsq.store_issued(uop, addr_known)
-            complete = addr_known
+            self.lsq.store_issued(uop)
+            complete = cycle + fus.address_latency
         else:
             complete = cycle + latency_for(op, fus)
         uop.complete_cycle = complete
@@ -177,12 +176,9 @@ class Processor:
             if self.rob.full or not self.renamer.can_rename(inst.dest):
                 stalled = True
                 break
-            uop = InFlight(inst, self.rob.allocate_age())
+            uop = InFlight(inst)
             if not self.scheme.try_dispatch(uop, cycle):
-                # Placement failed: roll the age allocator back so ages
-                # stay dense and retry next cycle.
-                self.rob.rollback_age()
-                stalled = True
+                stalled = True  # placement refused: retry next cycle
                 break
             self._decode_queue.popleft()
             src_phys, uop.dest_phys, uop.prev_phys = self.renamer.rename(

@@ -15,20 +15,7 @@ from typing import Deque, List, Optional
 from repro.common.errors import SimulationError
 from repro.isa.instructions import RegisterRef
 
-__all__ = ["PhysicalRegister", "RenameMap"]
-
-
-class PhysicalRegister:
-    """Identity of one physical register: (is_fp, index)."""
-
-    __slots__ = ("is_fp", "index")
-
-    def __init__(self, is_fp: bool, index: int) -> None:
-        self.is_fp = is_fp
-        self.index = index
-
-    def __repr__(self) -> str:
-        return f"{'pf' if self.is_fp else 'pr'}{self.index}"
+__all__ = ["RenameMap"]
 
 
 class _RegisterFile:

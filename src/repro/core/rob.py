@@ -1,10 +1,12 @@
-"""Reorder buffer: in-order commit and age identifiers.
+"""Reorder buffer: in-order commit.
 
 The ROB is a bounded FIFO of :class:`~repro.core.uop.InFlight` entries.
-Ages are monotone dispatch sequence numbers — the paper implements them
-as "the reorder buffer position plus one extra wrap bit"; a monotone
-integer is the software equivalent (the comparison outcomes are
-identical).
+The paper's age identifier is "the reorder buffer position plus one
+extra wrap bit"; here it is the instruction's trace ``seq``. Dispatch
+is in program order and the trace has no wrong path, so the ROB always
+holds consecutive ``seq``s and every age comparison comes out as the
+hardware's would. An instruction whose placement is refused keeps its
+``seq`` and is offered again next cycle.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ class ReorderBuffer:
             raise SimulationError("ROB needs at least one entry")
         self.capacity = entries
         self._entries: Deque[InFlight] = deque()
-        self._next_age = 0
 
     @property
     def occupancy(self) -> int:
@@ -40,35 +41,12 @@ class ReorderBuffer:
     def empty(self) -> bool:
         return not self._entries
 
-    def allocate_age(self) -> int:
-        """Next age identifier (call only when actually dispatching)."""
-        age = self._next_age
-        self._next_age += 1
-        return age
-
-    def rollback_age(self) -> None:
-        """Un-allocate the most recently allocated age.
-
-        Dispatch allocates an age before asking the issue scheme for a
-        placement; when placement fails the instruction retries next
-        cycle and must get the *same* age again, or ages stop being dense
-        dispatch sequence numbers. Only the latest allocation can be
-        rolled back, and only while no instruction holds it — rolling
-        back an age already pushed into the ROB would let a younger
-        instruction reuse it.
-        """
-        if self._next_age == 0:
-            raise SimulationError("no age allocated yet — nothing to roll back")
-        if self._entries and self._entries[-1].age >= self._next_age - 1:
-            raise SimulationError("cannot roll back an age already in the ROB")
-        self._next_age -= 1
-
     def push(self, uop: InFlight) -> None:
-        """Append a newly dispatched instruction (must be in age order)."""
+        """Append a newly dispatched instruction (must be in ``seq`` order)."""
         if self.full:
             raise SimulationError("ROB overflow — dispatch must check full")
-        if self._entries and uop.age <= self._entries[-1].age:
-            raise SimulationError("ROB push out of age order")
+        if self._entries and uop.seq <= self._entries[-1].seq:
+            raise SimulationError("ROB push out of program order")
         self._entries.append(uop)
 
     def commit_ready(self, cycle: int, width: int) -> List[InFlight]:

@@ -1,8 +1,9 @@
 """In-flight instruction state.
 
 The trace is immutable; everything the pipeline learns about an
-instruction (renamed registers, age, issue/completion cycles, queue
-placement) lives in an :class:`InFlight` wrapper created at dispatch.
+instruction (renamed registers, completion cycle, queue placement) lives
+in an :class:`InFlight` wrapper created at dispatch. An instruction's
+age is its trace ``seq`` (see :mod:`repro.core.rob`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class InFlight:
     ``op``, ``seq`` and ``fu_type`` copy facts of ``inst`` that never
     change, and ``issue_srcs`` is set once with the renamed sources
     (:meth:`set_sources`); they are slots, not properties, because the
-    issue stage reads them for every candidate every cycle.
+    issue stage reads them for every candidate every cycle. Every slot
+    is read by the pipeline.
     """
 
     __slots__ = (
@@ -47,17 +49,12 @@ class InFlight:
         "issue_srcs",
         "dest_phys",
         "prev_phys",
-        "age",
-        "issue_cycle",
         "complete_cycle",
         "queue_index",
         "chain_id",
-        "delayed",
-        "est_issue_cycle",
-        "store_addr_known_cycle",
     )
 
-    def __init__(self, inst: Instruction, age: int) -> None:
+    def __init__(self, inst: Instruction) -> None:
         self.inst = inst
         self.op: OpClass = inst.op
         self.seq: int = inst.seq
@@ -67,16 +64,11 @@ class InFlight:
         self.issue_srcs: List[Tuple[bool, int]] = self.src_phys
         self.dest_phys: Optional[Tuple[bool, int]] = None
         self.prev_phys: Optional[Tuple[bool, int]] = None
-        self.age = age
-        self.issue_cycle: Optional[int] = None
+        # Set at issue; for a store, the cycle its address is known.
         self.complete_cycle: Optional[int] = None
         # Multi-queue scheme bookkeeping.
         self.queue_index: Optional[int] = None
         self.chain_id: Optional[int] = None
-        self.delayed = False
-        self.est_issue_cycle: Optional[int] = None
-        # For stores: cycle at which the address is known (set at issue).
-        self.store_addr_known_cycle: Optional[int] = None
 
     def set_sources(self, src_phys: List[Tuple[bool, int]]) -> None:
         """Record the renamed sources and the operands that must be ready
@@ -86,13 +78,10 @@ class InFlight:
         self.issue_srcs = issue_operands(self.op, src_phys)
 
     @property
-    def issued(self) -> bool:
-        return self.issue_cycle is not None
-
-    @property
     def completed(self) -> bool:
+        """True once issued: issue schedules the completion cycle."""
         return self.complete_cycle is not None
 
     def __repr__(self) -> str:
-        state = "done" if self.completed else ("issued" if self.issued else "waiting")
+        state = "issued" if self.completed else "waiting"
         return f"InFlight(#{self.seq} {self.op.value} {state})"

@@ -27,6 +27,8 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.common import faults
+from repro.common.errors import ConfigurationError
+from repro.discover.oracles import ORACLES
 from repro.experiments.runner import RunScale
 from repro.explore.artifacts import write_json
 from repro.explore.space import default_space
@@ -115,8 +117,9 @@ def save_witness(witness: Dict[str, object], root: os.PathLike) -> Path:
 def load_corpus(root: os.PathLike) -> List[Dict[str, object]]:
     """Every witness under ``root``, ordered by key.
 
-    Unreadable or mis-shaped files are skipped (corpus hygiene mirrors
-    the result store: damage is never fatal, only invisible).
+    Unreadable or mis-shaped files, and witnesses of an oracle that no
+    longer exists, are skipped (corpus hygiene mirrors the result store:
+    damage is never fatal, only invisible).
     """
     corpus: List[Dict[str, object]] = []
     directory = _corpus_dir(root)
@@ -131,7 +134,7 @@ def load_corpus(root: os.PathLike) -> List[Dict[str, object]]:
         if (
             isinstance(witness, dict)
             and witness.get("format") == WITNESS_FORMAT
-            and isinstance(witness.get("oracle"), str)
+            and witness.get("oracle") in ORACLES
         ):
             corpus.append(witness)
     return corpus
@@ -152,11 +155,16 @@ def replay_witness(
     cache), and returns the failure detail. The caller owns the fault
     state: replaying with the witness's recorded faults armed must fail
     until the underlying bug is fixed; replaying disarmed must pass.
+    Raises :class:`~repro.common.errors.ConfigurationError` for a
+    witness whose oracle no longer exists.
     """
     from repro.discover.campaign import DiscoveryContext
-    from repro.discover.oracles import ORACLES
 
-    oracle = ORACLES[witness["oracle"]]
+    oracle = ORACLES.get(witness["oracle"])
+    if oracle is None:
+        raise ConfigurationError(
+            f"unknown oracle {witness['oracle']!r}; known: {sorted(ORACLES)}"
+        )
     space = default_space([witness["benchmark"]])
     point = space.build_point(witness["assignment"])
     raw = witness["scale"]

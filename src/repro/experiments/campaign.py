@@ -267,8 +267,8 @@ def sampling_validation(
         scale, store=store, workers=workers, kernel=kernel, sampling=plan
     )
     pairs = [(benchmark, IQ_64_64) for benchmark in benchmarks]
-    full_runner.prefetch(pairs, workers=workers)
-    sampled_runner.prefetch(pairs, workers=workers)
+    full_runner.prefetch(pairs)
+    sampled_runner.prefetch(pairs)
     table: Dict[str, Dict[str, float]] = {
         "full_ipc": {},
         "sampled_ipc": {},
@@ -297,18 +297,17 @@ def sampling_validation(
 def run_campaign(
     runner: ExperimentRunner,
     figure_numbers: List[int],
-    workers: int = 0,
 ) -> Dict[int, str]:
     """Generate and render the requested figures; returns text per figure.
 
     The figures' full (benchmark, scheme) matrix is prefetched first —
-    in parallel when ``workers > 1`` — so the generators themselves only
-    read the warm cache.
+    in parallel when the runner's ``workers > 1`` — so the generators
+    themselves only read the warm cache.
     """
     for number in figure_numbers:
         if number not in _TITLES:
             raise ValueError(f"unknown figure {number}; known: {ALL_FIGURES}")
-    runner.prefetch(fig_mod.required_runs(figure_numbers), workers=workers)
+    runner.prefetch(fig_mod.required_runs(figure_numbers))
     rendered: Dict[int, str] = {}
     for number in figure_numbers:
         data = figure_data(runner, number)
@@ -548,7 +547,7 @@ def _run_selected(args, parser, scale, store, plan, numbers) -> None:
             for benchmark, scheme in matrix
             if scheme_name(scheme) in wanted
         ]
-        runner.prefetch(pairs, workers=args.workers)
+        runner.prefetch(pairs)
         print(
             f"warmed {len(pairs)} (benchmark, scheme) pairs for schemes "
             f"{','.join(wanted)} of figures {','.join(map(str, numbers))}"
@@ -556,7 +555,7 @@ def _run_selected(args, parser, scale, store, plan, numbers) -> None:
     else:
         for number in numbers:
             with obs.span("campaign.figure", figure=number):
-                print(run_campaign(runner, [number], workers=args.workers)[number])
+                print(run_campaign(runner, [number])[number])
             print()
         if args.output:
             path = args.output_path or f"campaign.{args.output}"

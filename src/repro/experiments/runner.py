@@ -285,10 +285,11 @@ class ExperimentRunner:
     ``store`` selects the disk layer: a :class:`ResultStore` uses that
     store, ``None`` (the default) uses ``$REPRO_CACHE_DIR`` if set and no
     disk cache otherwise, and ``False`` disables the disk layer outright.
-    ``workers`` is the default pool size for :meth:`run_many` (0 = serial;
-    individual calls may override it). ``kernel`` pins the simulation
-    kernel for every run this runner executes (``None`` = ``skip``); it
-    never affects cache keys because every kernel is bit-identical.
+    ``workers`` is the pool size for :meth:`run_many` and :meth:`prefetch`
+    (0 = serial; a :meth:`run_many` call may override it). ``kernel``
+    pins the simulation kernel for every run this runner executes
+    (``None`` = ``skip``); it never affects cache keys because every
+    kernel is bit-identical.
 
     ``sampling`` switches the runner to the sampled execution mode: a
     :class:`~repro.sampling.plan.SamplingPlan` makes every simulation a
@@ -525,17 +526,13 @@ class ExperimentRunner:
                     self._execute(benchmark, scheme)
         return [self._result_cache[(b, s)] for b, s in pairs]
 
-    def prefetch(
-        self,
-        pairs: Sequence[Tuple[str, SchemeOrConfig]],
-        workers: Optional[int] = None,
-    ) -> None:
-        """Warm the memory cache for ``pairs`` (parallel when configured).
+    def prefetch(self, pairs: Sequence[Tuple[str, SchemeOrConfig]]) -> None:
+        """Warm the memory cache for ``pairs`` (on the runner's ``workers``).
 
         After a prefetch, figure generators calling :meth:`run`/:meth:`ipc`
         serially hit the memory layer only.
         """
-        self.run_many(pairs, workers=workers)
+        self.run_many(pairs)
 
     def ipc(self, benchmark: str, scheme: SchemeOrConfig) -> float:
         return self.run(benchmark, scheme).ipc

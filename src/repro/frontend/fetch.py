@@ -43,16 +43,16 @@ class FetchEngine:
         self.hierarchy = hierarchy
         self.predictor = predictor or HybridBranchPredictor(config.branch)
         self.queue: Deque[Instruction] = deque()
-        self._position = 0
+        # Instructions fetched so far, which is the next one's trace index.
+        self.fetched_instructions = 0
         self._icache_ready_cycle = 0
         self._blocking_branch_seq: Optional[int] = None
         self._current_line: Optional[int] = None
-        self.fetched_instructions = 0
 
     @property
     def exhausted(self) -> bool:
         """True when the entire trace has been fetched."""
-        return self._position >= len(self.trace)
+        return self.fetched_instructions >= len(self.trace)
 
     @property
     def blocked_on_branch(self) -> Optional[int]:
@@ -67,7 +67,7 @@ class FetchEngine:
         an I-cache miss and armed the fill timer) counts as activity.
         """
         return (
-            self._position,
+            self.fetched_instructions,
             self._icache_ready_cycle,
             self._blocking_branch_seq,
             self._current_line,
@@ -111,7 +111,7 @@ class FetchEngine:
             and len(self.queue) < self.config.fetch_queue_entries
             and not self.exhausted
         ):
-            inst = self.trace[self._position]
+            inst = self.trace[self.fetched_instructions]
             line = inst.pc // line_bytes
             if line != self._current_line:
                 latency = self.hierarchy.instruction_fetch_latency(inst.pc)
@@ -123,9 +123,8 @@ class FetchEngine:
                     self._current_line = line
                     break
             self.queue.append(inst)
-            self._position += 1
-            fetched += 1
             self.fetched_instructions += 1
+            fetched += 1
             if inst.op.is_branch:
                 correct = self.predictor.predict_and_update(inst.pc, bool(inst.taken), inst.target)
                 if not correct:

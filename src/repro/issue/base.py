@@ -42,7 +42,6 @@ class IssueContext:
         complete_fn: Callable[[InFlight, int], None],
     ) -> None:
         self.cycle = cycle
-        self.config = config
         self.scoreboard = scoreboard
         self.fu_pool = fu_pool
         self.lsq = lsq
@@ -92,7 +91,6 @@ class IssueContext:
             self.int_budget -= 1
         if is_memory:
             self.memory_budget -= 1
-        uop.issue_cycle = cycle
         self._complete_fn(uop, cycle)
         self.issued.append(uop)
         return True

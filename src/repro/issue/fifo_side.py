@@ -13,7 +13,7 @@ Dispatch placement implements the three heuristics of Section 2.2
 
 Only FIFO heads are considered for issue; a head checks its operands in
 the ready-register table (``regs_ready``) every cycle. Heads are issued
-oldest first across the queues of the side.
+oldest first (lowest ``seq``, the age) across the queues of the side.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class FifoSide:
         for index, queue in enumerate(self.queues):
             if queue:
                 head = queue[0]
-                heads.append((head.age, index, head))
+                heads.append((head.seq, index, head))
                 reads += len(head.src_phys)
         # Every head reads its operands' ready bits this cycle.
         if reads:

@@ -45,7 +45,6 @@ class LatencyPlacedFifoSide(FifoSide):
                 best_tail = tail_est
         if best is None:
             return False
-        uop.est_issue_cycle = est_issue
         self._append(uop, best)
         self._tail_est[best] = est_issue
         self.events.add("latfifo_estimator_ops")

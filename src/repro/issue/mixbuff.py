@@ -8,8 +8,8 @@ instruction per cycle using the chain-latency table plus age priority
 (see :mod:`repro.issue.selection`). No wakeup logic exists anywhere: a
 selected instruction simply checks its operands' ready bits; if the check
 fails (its producer was a cache-missing load or lives in another queue),
-it stays and is marked *delayed*, losing priority to first-time
-candidates.
+it stays queued, and once its chain has finished its latency code
+(``01``) loses priority to first-time candidates (``00``).
 
 The integer side is a plain IssueFIFO side, exactly as in the paper.
 """
@@ -144,7 +144,7 @@ class MixBuffSide:
                 for chain_id, chain in self.chains[queue_index].items()
             }
             entries = [
-                SelectableEntry(uop.chain_id, uop.age, uop.delayed, uop)
+                SelectableEntry(uop.chain_id, uop.seq, uop)
                 for uop in queue
                 # The selector sits next to this queue's functional
                 # units; it never picks an instruction whose unit cannot
@@ -160,8 +160,6 @@ class MixBuffSide:
             if ctx.issue(uop, queue_index):
                 self._remove_issued(uop, ctx.cycle)
                 issued.append(uop)
-            else:
-                uop.delayed = True
         return issued
 
     def _chain_completion(self, chain: _Chain, ctx: IssueContext) -> int:

@@ -15,7 +15,10 @@ candidates. First-time-ready instructions (code ``00`` — their chain
 predecessor finishes next cycle, so this is their first chance) thereby
 beat instructions whose issue was already delayed (code ``01``), the
 paper's anti-starvation heuristic. The key is exactly the concatenation
-the paper's Figure 5 shows: ``(code, age)`` — no additional state.
+the paper's Figure 5 shows: ``(code, age)`` — no additional state. An
+entry whose issue failed is not marked: once its chain has finished, its
+code reads ``01`` by itself. MixBUFF passes an instruction's trace
+``seq`` as its age (see :mod:`repro.core.rob`).
 
 The module is pure (no pipeline dependencies) so the Figure 5 worked
 example can be reproduced directly in tests and benchmarks.
@@ -35,12 +38,11 @@ CODE_NOT_READY = 0b11
 class SelectableEntry:
     """Minimal view of a queue entry the selector needs."""
 
-    __slots__ = ("chain", "age", "delayed", "payload")
+    __slots__ = ("chain", "age", "payload")
 
-    def __init__(self, chain: int, age: int, delayed: bool = False, payload=None) -> None:
+    def __init__(self, chain: int, age: int, payload=None) -> None:
         self.chain = chain
         self.age = age
-        self.delayed = delayed
         self.payload = payload
 
 

@@ -14,8 +14,10 @@ Two enforcement points keep it honest:
 * all wall-clock access anywhere under ``repro`` funnels through
   :mod:`repro.obs.clock`.
 
-Both are machine-checked by the ``telemetry-hygiene`` rule in
-``repro.analysis``.
+Both are machine-checked by ``repro.analysis``: a tagged module's
+``repro.obs`` import is a ``version-tag-coverage`` finding, and a clock
+read is a ``determinism`` finding in the tagged core and a
+``telemetry-hygiene`` finding everywhere else outside ``repro.obs``.
 """
 
 from repro.obs import clock

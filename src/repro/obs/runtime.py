@@ -2,8 +2,8 @@
 
 Activation is a sidecar switch with two equivalent spellings:
 
-* ``--trace-out DIR`` on the campaign/explore/discover CLIs (which call
-  :func:`configure`), or
+* ``--trace-out DIR`` on the campaign/explore/discover CLIs and
+  ``python -m repro.serve`` (which call :func:`configure`), or
 * the environment variable ``REPRO_TRACE=DIR``.
 
 :func:`configure` also *exports* ``REPRO_TRACE``, so multiprocessing

@@ -61,6 +61,24 @@ class TestCampaign:
         text = run_campaign(small, [9])[9]
         assert "wakeup" in text
 
+    def test_prefetch_runs_on_the_runners_workers(self, small, monkeypatch):
+        # The runner's own ``workers`` setting governs the prefetch: a
+        # pool runner's misses go to the pool without the caller
+        # repeating the count.
+        from repro.experiments import parallel
+
+        class Reached(Exception):
+            pass
+
+        def simulate_matrix(misses, scale, workers, **kwargs):
+            raise Reached(workers)
+
+        monkeypatch.setattr(parallel, "simulate_matrix", simulate_matrix)
+        pool = ExperimentRunner(SMALL, store=False, workers=2)
+        with pytest.raises(Reached) as reached:
+            run_campaign(pool, [2])
+        assert reached.value.args == (2,)
+
 
 class TestCliFilters:
     def test_schemes_filter_runs_warm_only_sweep(self, monkeypatch, tmp_path, capsys):

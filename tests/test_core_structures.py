@@ -22,8 +22,8 @@ from repro.isa.opcodes import FuType, OpClass
 from tests.util import alu, f, load, r, store
 
 
-def make_uop(inst, seq_age=None, src_phys=(), dest_phys=None):
-    uop = InFlight(inst, seq_age if seq_age is not None else inst.seq)
+def make_uop(inst, src_phys=(), dest_phys=None):
+    uop = InFlight(inst)
     uop.set_sources(list(src_phys))
     uop.dest_phys = dest_phys
     return uop
@@ -127,8 +127,8 @@ class TestScoreboard:
 class TestReorderBuffer:
     def test_commit_in_order_only(self):
         rob = ReorderBuffer(8)
-        a = make_uop(alu(0, r(1)), rob.allocate_age())
-        b = make_uop(alu(1, r(2)), rob.allocate_age())
+        a = make_uop(alu(0, r(1)))
+        b = make_uop(alu(1, r(2)))
         rob.push(a)
         rob.push(b)
         b.complete_cycle = 1  # younger done first
@@ -140,7 +140,7 @@ class TestReorderBuffer:
         rob = ReorderBuffer(8)
         uops = []
         for i in range(4):
-            uop = make_uop(alu(i, r(1)), rob.allocate_age())
+            uop = make_uop(alu(i, r(1)))
             uop.complete_cycle = 0
             rob.push(uop)
             uops.append(uop)
@@ -149,7 +149,7 @@ class TestReorderBuffer:
 
     def test_future_completion_not_committed(self):
         rob = ReorderBuffer(4)
-        uop = make_uop(alu(0, r(1)), rob.allocate_age())
+        uop = make_uop(alu(0, r(1)))
         uop.complete_cycle = 10
         rob.push(uop)
         assert rob.commit_ready(9, 8) == []
@@ -157,50 +157,18 @@ class TestReorderBuffer:
 
     def test_overflow_rejected(self):
         rob = ReorderBuffer(1)
-        rob.push(make_uop(alu(0, r(1)), rob.allocate_age()))
+        rob.push(make_uop(alu(0, r(1))))
         assert rob.full
         with pytest.raises(SimulationError):
-            rob.push(make_uop(alu(1, r(2)), rob.allocate_age()))
+            rob.push(make_uop(alu(1, r(2))))
 
     def test_out_of_age_order_rejected(self):
         rob = ReorderBuffer(4)
-        second = make_uop(alu(1, r(1)), 5)
-        first = make_uop(alu(0, r(1)), 3)
+        second = make_uop(alu(1, r(1)))
+        first = make_uop(alu(0, r(1)))
         rob.push(second)
         with pytest.raises(SimulationError):
             rob.push(first)
-
-    def test_rollback_age_reissues_same_age(self):
-        rob = ReorderBuffer(4)
-        age = rob.allocate_age()
-        rob.rollback_age()
-        assert rob.allocate_age() == age
-
-    def test_repeated_placement_failure_keeps_ages_dense(self):
-        # Dispatch allocates an age, the issue scheme refuses placement,
-        # dispatch rolls back and retries next cycle — many times in a
-        # row. The instruction must get the same age on every retry, and
-        # the ROB must still accept the eventual push.
-        rob = ReorderBuffer(4)
-        rob.push(make_uop(alu(0, r(1)), rob.allocate_age()))
-        ages = set()
-        for _ in range(5):  # five consecutive failed placements
-            ages.add(rob.allocate_age())
-            rob.rollback_age()
-        assert ages == {1}
-        rob.push(make_uop(alu(1, r(2)), rob.allocate_age()))
-        assert [uop.age for uop in rob] == [0, 1]
-
-    def test_rollback_without_allocation_rejected(self):
-        rob = ReorderBuffer(4)
-        with pytest.raises(SimulationError):
-            rob.rollback_age()
-
-    def test_rollback_of_pushed_age_rejected(self):
-        rob = ReorderBuffer(4)
-        rob.push(make_uop(alu(0, r(1)), rob.allocate_age()))
-        with pytest.raises(SimulationError):
-            rob.rollback_age()
 
 
 class TestLoadStoreQueue:
@@ -209,7 +177,8 @@ class TestLoadStoreQueue:
         st_uop = make_uop(store(0, r(1), 0x100))
         lsq.add_store(st_uop)
         assert not lsq.can_issue_load(1)
-        lsq.store_issued(st_uop, addr_known_cycle=5)
+        st_uop.complete_cycle = 5
+        lsq.store_issued(st_uop)
         assert lsq.can_issue_load(1)
 
     def test_younger_store_does_not_gate(self):
@@ -222,7 +191,8 @@ class TestLoadStoreQueue:
         lsq = LoadStoreQueue()
         st_uop = make_uop(store(0, r(1), 0x100))
         lsq.add_store(st_uop)
-        lsq.store_issued(st_uop, addr_known_cycle=20)
+        st_uop.complete_cycle = 20
+        lsq.store_issued(st_uop)
         ld = make_uop(load(1, r(2), 0x900))
         start, fwd = lsq.load_access_constraints(ld, addr_ready_cycle=5)
         assert start == 20  # waits for the store address
@@ -232,7 +202,8 @@ class TestLoadStoreQueue:
         lsq = LoadStoreQueue()
         st_uop = make_uop(store(0, r(1), 0x100))
         lsq.add_store(st_uop)
-        lsq.store_issued(st_uop, addr_known_cycle=3)
+        st_uop.complete_cycle = 3
+        lsq.store_issued(st_uop)
         ld = make_uop(load(1, r(2), 0x100))
         __, fwd = lsq.load_access_constraints(ld, addr_ready_cycle=5)
         assert fwd is st_uop
@@ -244,7 +215,8 @@ class TestLoadStoreQueue:
         newer = make_uop(store(1, r(3), 0x100))
         for s in (older, newer):
             lsq.add_store(s)
-            lsq.store_issued(s, addr_known_cycle=1)
+            s.complete_cycle = 1
+            lsq.store_issued(s)
         ld = make_uop(load(2, r(2), 0x100))
         __, fwd = lsq.load_access_constraints(ld, addr_ready_cycle=5)
         assert fwd is newer
@@ -260,7 +232,8 @@ class TestLoadStoreQueue:
         st_uop = make_uop(store(0, r(1), 0x100), src_phys=[(False, 40), (False, 0)])
         sb.mark_pending((False, 40))  # data producer not issued
         lsq.add_store(st_uop)
-        lsq.store_issued(st_uop, addr_known_cycle=2)
+        st_uop.complete_cycle = 2
+        lsq.store_issued(st_uop)
         ld = make_uop(load(1, r(2), 0x100))
         assert lsq.load_blocked_on_store_data(ld, sb)
         sb.set_ready((False, 40), 9)
@@ -391,14 +364,13 @@ class TestInFlight:
         ids=["store_drops_data", "store_without_address", "load", "int_alu", "fp_mul"],
     )
     def test_set_sources(self, inst, src_phys, issue_srcs):
-        uop = InFlight(inst, 0)
+        uop = InFlight(inst)
         uop.set_sources(src_phys)
         assert uop.src_phys == src_phys
         assert uop.issue_srcs == issue_srcs
 
     def test_state_flags(self):
         uop = make_uop(alu(0, r(1)))
-        assert not uop.issued and not uop.completed
-        uop.issue_cycle = 4
-        uop.complete_cycle = 5
-        assert uop.issued and uop.completed
+        assert not uop.completed
+        uop.complete_cycle = 5  # issue schedules the completion
+        assert uop.completed

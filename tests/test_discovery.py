@@ -253,6 +253,28 @@ class TestWitnessKeys:
         assert witness_key(dict(self.BASE, faults=[])) != base
 
 
+class TestRetiredOracleWitness:
+    """A corpus may hold a witness of an oracle that has since been
+    deleted (``static_analysis`` is one): it is skipped, not fatal."""
+
+    RETIRED = dict(TestWitnessKeys.BASE, format=1, oracle="static_analysis",
+                   benchmark="mcf")
+
+    def test_load_corpus_skips_it(self, tmp_path):
+        for oracle in ("static_analysis", "kernel_equivalence"):
+            witness = dict(self.RETIRED, oracle=oracle)
+            key = witness_key(witness)
+            path = tmp_path / "witnesses" / key[:2] / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(dict(witness, witness_key=key)))
+        corpus = load_corpus(tmp_path)
+        assert [w["oracle"] for w in corpus] == ["kernel_equivalence"]
+
+    def test_replay_names_the_known_oracles(self):
+        with pytest.raises(ConfigurationError, match="kernel_equivalence"):
+            replay_witness(self.RETIRED, store=False)
+
+
 class TestOracleSelection:
     def test_default_is_every_oracle_in_canonical_order(self):
         assert [o.name for o in resolve_oracles(None)] == list(ORACLES)

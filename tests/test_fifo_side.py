@@ -14,8 +14,8 @@ from repro.issue.fifo_side import FifoSide
 from tests.util import alu, r
 
 
-def make_uop(inst, age=None):
-    return InFlight(inst, age if age is not None else inst.seq)
+def make_uop(inst):
+    return InFlight(inst)
 
 
 @pytest.fixture
@@ -117,8 +117,8 @@ class TestIssue:
         assert side.issue_heads(self_ctx) == []
 
     def test_heads_issue_oldest_first(self, side):
-        young = make_uop(alu(5, r(2)), age=5)
-        old = make_uop(alu(1, r(1)), age=1)
+        young = make_uop(alu(5, r(2)))
+        old = make_uop(alu(1, r(1)))
         place(side, young)
         place(side, old)
         ctx = self.make_ctx()

@@ -280,8 +280,8 @@ class TestWakeSources:
             # Eight independent ops take the eight empty queues; the
             # ninth has the same estimate (FP) or no empty FIFO (integer).
             for seq in range(8):
-                assert scheme.try_dispatch(InFlight(make_inst(seq), seq), 37)
-            assert not scheme.try_dispatch(InFlight(make_inst(8), 8), 37)
+                assert scheme.try_dispatch(InFlight(make_inst(seq)), 37)
+            assert not scheme.try_dispatch(InFlight(make_inst(8)), 37)
             return scheme
 
         fp_stalled = refused_at_37(lambda seq: fpalu(seq, f(seq)))

@@ -125,6 +125,48 @@ class TestAllSchemes:
         assert results[0] == results[1]
 
 
+class TestDispatchOrder:
+    def test_refused_placement_is_the_next_dispatched(self):
+        # An age is the trace seq, so dispatch allocates nothing and a
+        # refused placement has nothing to roll back. One-entry FIFOs
+        # refuse placement often; every offer must carry the next seq in
+        # program order (a refused one comes back first), and after
+        # every cycle the ROB must hold consecutive seqs ending at the
+        # last placed one.
+        scheme = IssueSchemeConfig(kind="issuefifo", int_queues=2,
+                                   int_queue_entries=1, fp_queues=2,
+                                   fp_queue_entries=1)
+        trace = generate_trace(get_profile("mesa"), 600, seed=9)
+        processor = Processor(default_config(scheme), trace)
+        next_seq = 0
+        refusals = 0
+        place = processor.scheme.try_dispatch
+        step = processor.step
+
+        def checked_place(uop, cycle):
+            nonlocal next_seq, refusals
+            assert uop.seq == next_seq
+            placed = place(uop, cycle)
+            if placed:
+                next_seq += 1
+            else:
+                refusals += 1
+            return placed
+
+        def checked_step(cycle):
+            result = step(cycle)
+            seqs = [uop.seq for uop in processor.rob]
+            assert seqs == list(range(next_seq - len(seqs), next_seq))
+            return result
+
+        processor.scheme.try_dispatch = checked_place
+        processor.step = checked_step
+        stats = processor.run(kernel="naive")
+        assert stats.committed_instructions == 600
+        assert next_seq == 600
+        assert refusals > 100
+
+
 class TestWarmup:
     def test_warmup_excluded_from_stats(self):
         trace = generate_trace(get_profile("gzip"), 1000, seed=4)

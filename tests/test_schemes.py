@@ -19,9 +19,8 @@ from repro.issue.mixbuff import MixBuffScheme
 from tests.util import alu, f, fpalu, load, r, store
 
 
-def make_uop(inst, age=None):
-    uop = InFlight(inst, age if age is not None else inst.seq)
-    return uop
+def make_uop(inst):
+    return InFlight(inst)
 
 
 def make_ctx(config, cycle=0):
@@ -69,7 +68,8 @@ def _forwarding_store_data_unscheduled(ctx):
     older.set_sources([(False, 40)])
     ctx.scoreboard.mark_pending((False, 40))
     ctx.lsq.add_store(older)
-    ctx.lsq.store_issued(older, addr_known_cycle=ctx.cycle)
+    older.complete_cycle = ctx.cycle  # its address is known
+    ctx.lsq.store_issued(older)
     return make_uop(load(1, r(1), 0x100))
 
 
@@ -111,7 +111,7 @@ class TestIssueContext:
             list(ctx.issued),
             self.units(ctx),
             ctx.scoreboard.version,
-            uop.issue_cycle,
+            uop.complete_cycle,
         )
 
     @pytest.mark.parametrize(
@@ -148,7 +148,6 @@ class TestIssueContext:
         assert changed == [(-1, self.CYCLE)]
         assert ctx.issued == [uop]
         assert completed == [(uop, self.CYCLE)]
-        assert uop.issue_cycle == self.CYCLE
 
 
 class TestBuildScheme:
@@ -308,7 +307,8 @@ class TestLatFifoScheme:
         __, scheme = self.make()
         uop = make_uop(fpalu(0, f(1)))
         scheme.try_dispatch(uop, 5)
-        assert uop.est_issue_cycle == 6
+        # The queue's tail estimate is what the next placement compares.
+        assert scheme.fp_side._tail_est[uop.queue_index] == 6
 
 
 class TestMixBuffScheme:
@@ -391,12 +391,15 @@ class TestMixBuffScheme:
         # is selected at all (no wasted slot).
         assert scheme.select_and_issue(ctx) == []
         # Once the operand is scheduled but not ready, selection happens
-        # and failure marks the entry delayed.
+        # and fails; the entry stays queued, demoted only by its code.
         ctx.scoreboard.set_ready((True, 40), 100)
         ctx2 = make_ctx(cfg, cycle=99)
         ctx2.scoreboard.set_ready((True, 40), 100)
         assert scheme.select_and_issue(ctx2) == []
-        assert blocked.delayed
+        assert scheme.fp_side.queues[blocked.queue_index] == [blocked]
+        ctx3 = make_ctx(cfg, cycle=100)
+        ctx3.scoreboard.set_ready((True, 40), 100)
+        assert scheme.select_and_issue(ctx3) == [blocked]
 
     def test_chain_retired_after_drain(self):
         cfg, scheme = self.make(fp_queues=1, fp_entries=8)
